@@ -1,54 +1,13 @@
 #include "puf/database.hpp"
 
-#include <charconv>
-#include <filesystem>
+#include <unordered_set>
 #include <utility>
 
-#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "puf/model_store.hpp"
 
 namespace xpuf::puf {
-
-namespace {
-
-/// Parses the `<id>` of a legacy `ledger_<id>.csv` filename. Exact integer
-/// parse — any non-digit residue means the file is not one of ours.
-bool parse_ledger_id(const std::string& filename, std::size_t& id) {
-  constexpr const char* kPrefix = "ledger_";
-  constexpr const char* kSuffix = ".csv";
-  if (filename.rfind(kPrefix, 0) != 0) return false;
-  const std::size_t prefix_len = std::string(kPrefix).size();
-  const std::size_t suffix_len = std::string(kSuffix).size();
-  if (filename.size() <= prefix_len + suffix_len) return false;
-  if (filename.compare(filename.size() - suffix_len, suffix_len, kSuffix) != 0) return false;
-  const char* begin = filename.data() + prefix_len;
-  const char* end = filename.data() + filename.size() - suffix_len;
-  const auto [ptr, ec] = std::from_chars(begin, end, id);
-  return ec == std::errc() && ptr == end;
-}
-
-/// Converts one legacy '0'/'1' ledger row into the packed key format,
-/// validating it against the device's stage count.
-std::string packed_key_from_legacy(const std::string& row, std::size_t stages,
-                                   const std::string& path) {
-  XPUF_REQUIRE(stages > 0, "legacy ledger conversion needs the model geometry");
-  if (row.size() != stages)
-    throw ParseError(path + ": ledger challenge has " + std::to_string(row.size()) +
-                     " bits, device model has " + std::to_string(stages) + " stages");
-  Challenge challenge;
-  challenge.reserve(row.size());
-  for (char ch : row) {
-    if (ch != '0' && ch != '1')
-      throw ParseError(path + ": corrupt challenge encoding in ledger");
-    challenge.push_back(ch == '1' ? 1 : 0);
-  }
-  return store::pack_challenge(challenge);
-}
-
-}  // namespace
 
 ServerDatabase::ServerDatabase(ServerDatabase&& other) noexcept
     : config_(other.config_),
@@ -131,20 +90,11 @@ void ServerDatabase::revoke_device(std::size_t chip_id) {
   ledger_size.set(static_cast<double>(total));
 }
 
-const ServerModel& ServerDatabase::model(std::size_t chip_id) const {
-  XPUF_REQUIRE(store_ == nullptr,
-               "a backed database serves models through the bounded cache; "
-               "use model_snapshot()");
+std::shared_ptr<const ServerModel> ServerDatabase::model_snapshot(std::size_t chip_id) const {
+  if (store_ != nullptr) return store_->model(chip_id);  // bounds-checked there
   const auto it = models_.find(chip_id);
   XPUF_REQUIRE(it != models_.end(), "unknown device id");
-  return it->second;
-}
-
-std::shared_ptr<const ServerModel> ServerDatabase::model_snapshot(std::size_t chip_id) const {
-  // Both branches bounds-check chip_id (store::EnrollmentStore::model and
-  // model() respectively).
-  return store_ != nullptr ? store_->model(chip_id)
-                           : std::make_shared<const ServerModel>(model(chip_id));
+  return std::make_shared<const ServerModel>(it->second);
 }
 
 ModelView ServerDatabase::resolve_view(std::size_t chip_id) const {
@@ -282,12 +232,14 @@ std::size_t ServerDatabase::refill_pool(std::size_t chip_id, const ModelView& vi
   if (want > 0) {
     ChallengeScreener screener(view, config_.n_pufs, config_.screening);
     const StreamFamily family = device_family(chip_id);
+    // Already-issued and already-pooled challenges (carried-over leftovers
+    // included — a small challenge space repeats candidates) never enter
+    // the pool; skipping them here instead of at drain time keeps the
+    // drain's replay count a pure crash-recovery signal.
+    std::unordered_set<std::string> pooled(next.keys.begin(), next.keys.end());
     const ChallengeScreener::Sink sink = [&](Challenge&& challenge, bool bit) {
       std::string key = store::pack_challenge(challenge);
-      // Already-issued challenges never enter the pool; skipping them here
-      // (instead of at drain time) keeps the drain's replay count a pure
-      // crash-recovery signal.
-      if (ledger.count(key) != 0) return false;
+      if (ledger.count(key) != 0 || !pooled.insert(key).second) return false;
       next.keys.push_back(std::move(key));
       next.expected.push_back(bit ? 1 : 0);
       return true;
@@ -349,8 +301,9 @@ void ServerDatabase::finish_issue(std::size_t chip_id, std::uint32_t stages,
   replay.add(batch.replay_rejected);
   issued.add(batch.challenges.size());
   if (store_ != nullptr) {
-    // Durable acknowledgement: the challenges exist on disk before the
-    // caller can send them anywhere (the store refreshes the gauges).
+    // Acknowledgement: the challenges are in the flushed log (surviving
+    // process death, not power loss) before the caller can send them
+    // anywhere (the store refreshes the gauges).
     store_->record_issued(chip_id, stages, fresh);
   } else {
     const std::uint64_t total =
@@ -417,7 +370,7 @@ ChallengeBatch ServerDatabase::issue(std::size_t chip_id, Rng& rng) {
     for (std::uint32_t i = 0; i < take; ++i) {
       if (!ledger.insert(keys[i]).second) {
         // Only a crash-recovery re-drain reaches here: replay reset the
-        // drain head, and the durable ledger screens out what was already
+        // drain head, and the logged ledger screens out what was already
         // sent. Counted — it is still an issued-challenge-reuse signal.
         ++batch.replay_rejected;
         continue;
@@ -484,86 +437,14 @@ std::size_t ServerDatabase::issued_count(std::size_t chip_id) const {
 
 void ServerDatabase::save(const std::string& directory) const {
   XPUF_TRACE_SPAN("db.save");
+  // Persistence belongs to the store alone: an opened database is already
+  // on disk record by record, and save() is its compaction point, so it
+  // only makes sense in the store's own home.
+  XPUF_REQUIRE(store_ != nullptr, "save() requires a database opened with open()");
+  XPUF_REQUIRE(directory == store_->dir(), "an opened database saves in place (compaction)");
+  store_->compact();
   static Gauge& devices = MetricsRegistry::global().gauge("db.devices");
-  if (store_ != nullptr) {
-    // A backed database is already durable record by record; save() is the
-    // compaction point, and it only makes sense in the store's own home.
-    XPUF_REQUIRE(directory == store_->dir(),
-                 "a backed database saves in place (compaction)");
-    store_->compact();
-    devices.set(static_cast<double>(store_->device_count()));
-    return;
-  }
-  // In-memory mode: commit the complete binary snapshot first (every file
-  // lands via write-temp-then-rename), and only then clear legacy CSV
-  // files — the reverse of the old delete-then-write order, so a crash at
-  // any byte leaves a loadable directory. load() prefers the manifest, so
-  // a crash between the two phases (both formats present) reads the new one.
-  store::write_snapshot(directory, store::StoreOptions{}.n_shards, models_, issued_);
-  namespace fs = std::filesystem;
-  for (const auto& entry : fs::directory_iterator(directory)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    const bool device_file = name.rfind("device_", 0) == 0;
-    const bool ledger_file = name.rfind("ledger_", 0) == 0;
-    if (device_file || ledger_file) fs::remove(entry.path());
-  }
-  devices.set(static_cast<double>(models_.size()));
-}
-
-ServerDatabase ServerDatabase::load(const std::string& directory, DatabaseConfig config) {
-  XPUF_TRACE_SPAN("db.load");
-  ServerDatabase db(config);
-  namespace fs = std::filesystem;
-  XPUF_REQUIRE(fs::is_directory(directory), "database directory does not exist");
-  std::uint64_t total = 0;
-  if (store::EnrollmentStore::is_store_dir(directory)) {
-    // Binary store: replay the op log. A tiny cache keeps the replay from
-    // holding the fleet twice while models are copied into the registry.
-    store::StoreOptions options;
-    options.cache_capacity = 1;
-    const store::EnrollmentStore st = store::EnrollmentStore::open(directory, options);
-    for (const std::uint64_t id : st.device_ids()) {
-      db.models_.emplace(static_cast<std::size_t>(id), ServerModel(*st.model(id)));
-      db.issued_[static_cast<std::size_t>(id)] = st.ledger(id);
-    }
-    total = st.issued_total();
-  } else {
-    std::vector<fs::path> ledger_files;
-    for (const auto& entry : fs::directory_iterator(directory)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("ledger_", 0) == 0) {
-        ledger_files.push_back(entry.path());
-        continue;
-      }
-      if (name.rfind("device_", 0) != 0) continue;
-      ServerModel m = load_server_model(entry.path().string());
-      db.register_device(std::move(m));
-    }
-    for (const fs::path& path : ledger_files) {
-      std::size_t id = 0;
-      if (!parse_ledger_id(path.filename().string(), id)) continue;
-      if (!db.knows(id))
-        throw ParseError(path.string() + ": orphaned ledger (device_" +
-                         std::to_string(id) + " is missing) — a mid-save crash left "
-                         "issued challenges behind; refusing to silently forget them");
-      const std::size_t stages = db.models_.at(id).stages();
-      const CsvData ledger = read_csv(path.string());
-      for (const auto& row : ledger.rows) {
-        if (row.empty() || row[0].empty()) continue;
-        if (db.issued_[id].insert(packed_key_from_legacy(row[0], stages, path.string()))
-                .second)
-          ++total;
-      }
-    }
-  }
-  db.ledger_total_.store(total, std::memory_order_relaxed);
-  auto& registry = MetricsRegistry::global();
-  static Gauge& devices = registry.gauge("db.devices");
-  static Gauge& ledger_size = registry.gauge("db.ledger_size");
-  devices.set(static_cast<double>(db.models_.size()));
-  ledger_size.set(static_cast<double>(total));
-  return db;
+  devices.set(static_cast<double>(store_->device_count()));
 }
 
 }  // namespace xpuf::puf

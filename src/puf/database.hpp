@@ -4,37 +4,36 @@
 // the server database" and runs the Fig 7 flow per authentication request.
 // This module is the deployment-shaped wrapper around those pieces: a
 // registry of enrolled chips, per-device authentication with the zero-HD
-// policy, challenge-replay protection (a challenge is never reused for a
-// device — otherwise an eavesdropper could replay recorded responses), and
-// persistence of the whole registry to a directory of model files.
+// policy, and challenge-replay protection (a challenge is never reused for a
+// device — otherwise an eavesdropper could replay recorded responses).
 //
-// Two serving modes share the same API:
+// Two ways to construct one share the same serving API:
 //
-//   in-memory (the historical default): every model and ledger lives in the
-//   registry maps; save() writes a complete binary snapshot (sharded store
-//   files committed via write-temp-then-rename — never delete-then-write)
-//   and load() reads either that binary format or a legacy CSV directory,
-//   upgrading the latter on its first save.
+//   in-memory (the constructor): an ephemeral serving registry — models,
+//   ledgers and pools live in maps and die with the object. It never
+//   touches disk; tests, benches and the net/ service engines use it.
 //
-//   backed (open()): the database fronts a store::EnrollmentStore — every
-//   register/revoke/issue is appended durably to a sharded crc'd op log
-//   before the call returns, ledgers stay memory-resident per shard, and
-//   model weights are served through a capacity-bounded LRU cache
-//   (db.cache_hits/db.cache_misses/db.cache_evictions), so authentication
-//   over a million-device fleet runs in bounded memory. save() compacts the
-//   log in place.
+//   persistent (open()): the database fronts a store::EnrollmentStore, the
+//   only path by which a registry reaches or leaves disk. Every
+//   register/revoke/issue is appended to a sharded crc'd op log and
+//   flushed before the call returns — it survives process death, not power
+//   loss (fflush, no fsync; ROADMAP item 5). Ledgers stay memory-resident
+//   per shard, and model weights are served through a capacity-bounded LRU
+//   cache (db.cache_hits/db.cache_misses/db.cache_evictions), so
+//   authentication over a million-device fleet runs in bounded memory.
+//   Reopening replays the log; save() compacts it in place.
 //
 // Concurrency contract: issue(), verify(), authenticate() and the const
 // accessors are safe to call concurrently for DISTINCT pre-registered
 // devices — they never mutate the registry maps themselves, only the
 // per-device ledger set the caller's device owns (std::map lookups tolerate
 // concurrent readers, and disjoint mapped values may be mutated in
-// parallel; the backed store locks its shared cache and shard files
-// internally). register_device(), revoke_device(), save() and load() mutate
-// the maps and require exclusive access; the net/ ServiceEngine satisfies
-// this by giving each shard its own ServerDatabase and keeping all calls on
-// the owning shard lane. tests/test_observability.cpp exercises the
-// concurrent half of the contract under TSan.
+// parallel; the store locks its shared cache and shard files internally).
+// register_device(), revoke_device() and save() mutate the maps and require
+// exclusive access; the net/ ServiceEngine satisfies this by giving each
+// shard its own ServerDatabase and keeping all calls on the owning shard
+// lane. tests/test_observability.cpp exercises the concurrent half of the
+// contract under TSan.
 #pragma once
 
 #include <atomic>
@@ -55,7 +54,7 @@ namespace xpuf::puf {
 /// Per-device pre-screened stable-challenge pools — the issuance hot path.
 /// With pooling on, registration (and a low-water refill) screens `target`
 /// predicted-stable challenges per device through the batched screener and
-/// persists them (backed mode: a durable POOL record; in-memory mode: a
+/// persists them (opened: a POOL record in the store's log; in-memory: a
 /// registry entry), so a steady-state issue() drains O(challenge_count)
 /// entries instead of rejection-sampling ~challenge_count / 0.800^n live
 /// candidates. Pool candidates come from a per-device StreamFamily keyed by
@@ -91,13 +90,11 @@ class ServerDatabase {
   ServerDatabase& operator=(ServerDatabase&& other) noexcept;
 
   /// Opens (creating if needed) a store-backed database at `directory`:
-  /// durable sharded op log + LRU-bounded model serving.
+  /// sharded op log + LRU-bounded model serving.
   static ServerDatabase open(const std::string& directory, DatabaseConfig config,
                              store::StoreOptions options = {});
 
-  bool backed() const { return store_ != nullptr; }
-
-  /// The underlying store of a backed database (introspection: shard
+  /// The underlying store of an opened database (introspection: shard
   /// totals, cache occupancy, compaction offsets).
   const store::EnrollmentStore& store() const;
 
@@ -115,14 +112,9 @@ class ServerDatabase {
   /// Removes a device and its replay history.
   void revoke_device(std::size_t chip_id);
 
-  /// Direct registry reference — in-memory mode only: a backed database
-  /// serves models through the bounded cache, where references can be
-  /// evicted under the caller; use model_snapshot() there.
-  const ServerModel& model(std::size_t chip_id) const;
-
-  /// Mode-independent model access. Backed: the cached (or freshly decoded)
-  /// model, kept alive by the shared_ptr across evictions. In-memory: a
-  /// copy — intended for tests and tooling, not hot paths.
+  /// Model access. Opened: the cached (or freshly decoded) model, kept alive
+  /// by the shared_ptr across evictions. In-memory: a copy — intended for
+  /// tests and tooling, not hot paths.
   std::shared_ptr<const ServerModel> model_snapshot(std::size_t chip_id) const;
 
   /// Issues a fresh stable-challenge batch for a device, excluding every
@@ -157,34 +149,21 @@ class ServerDatabase {
   /// Challenges ever issued to a device.
   std::size_t issued_count(std::size_t chip_id) const;
 
-  /// In-memory mode: writes a complete binary store snapshot into
-  /// `directory` (created if absent) — manifest + sharded record logs, each
-  /// file committed via write-temp-then-rename — then removes any legacy
-  /// `device_*`/`ledger_*` CSV files, completing the format migration. A
-  /// crash at any point leaves every device readable in either its old or
-  /// new state; nothing is deleted before its replacement is durable.
-  /// Backed mode: compacts the store in place (`directory` must be the
-  /// store's own directory).
+  /// Compacts the store of an opened database in place (`directory` must be
+  /// the store's own directory). An in-memory database has nothing on disk
+  /// to save: calling this on one is a precondition failure.
   void save(const std::string& directory) const;
 
-  /// Restores an in-memory registry from `directory`: binary store layout
-  /// when a manifest is present, legacy CSV otherwise. Orphaned legacy
-  /// `ledger_*` files (their `device_*` partner missing — the residue of a
-  /// mid-save crash of the old writer) are a ParseError, never silently
-  /// forgotten issued challenges.
-  static ServerDatabase load(const std::string& directory, DatabaseConfig config);
-
  private:
-  /// In-memory pool state (backed mode keeps pools in the store instead).
-  /// Dropped by save()/load(): pools are a rebuildable cache, not registry
-  /// state — the first post-load issue recreates them.
+  /// In-memory pool state (an opened database keeps pools in the store
+  /// instead). Pools are a rebuildable cache, not registry state.
   struct MemPool {
     store::PoolPayload pool;
     std::uint32_t head = 0;
   };
 
-  /// Mode-independent model access for screening: zero-copy mapped view,
-  /// cached model, or borrowed registry reference.
+  /// Model access for screening: zero-copy mapped view, cached model, or
+  /// borrowed registry reference.
   ModelView resolve_view(std::size_t chip_id) const;
   std::set<std::string>& ledger_ref(std::size_t chip_id);
   std::uint32_t device_stages(std::size_t chip_id) const;
@@ -214,7 +193,7 @@ class ServerDatabase {
   /// kernel of issue_live and the pool-bypass fallback).
   void fill_live(const ModelView& view, std::set<std::string>& ledger,
                  ChallengeBatch& batch, std::vector<std::string>& fresh, Rng& rng);
-  /// Common issue() epilogue: replay/issued metrics + durable ledger append.
+  /// Common issue() epilogue: replay/issued metrics + logged ledger append.
   void finish_issue(std::size_t chip_id, std::uint32_t stages, ChallengeBatch& batch,
                     const std::vector<std::string>& fresh);
 

@@ -9,7 +9,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <filesystem>
 #include <utility>
 
 #include "common/csv.hpp"
@@ -193,10 +192,6 @@ ShardedLog ShardedLog::open(const std::string& dir, std::uint32_t default_shards
   for (std::uint32_t k = 0; k < n_shards; ++k)
     log.shards_.push_back(AppendLog::open(dir + "/shard_" + std::to_string(k) + ".log"));
   return log;
-}
-
-bool ShardedLog::is_store_dir(const std::string& dir) {
-  return std::filesystem::exists(std::filesystem::path(dir) / "store_manifest");
 }
 
 AppendLog& ShardedLog::shard(std::uint32_t k) {

@@ -3,10 +3,12 @@
 // An AppendLog is one shard file: records are only ever appended (fseek to
 // the end + fwrite + fflush), read back either whole (recovery replay) or by
 // exact [offset, length) window (cache misses), and replaced wholesale only
-// through write-temp-then-rename (compaction / snapshot) — so at every
-// instant the named file on disk is either the complete old contents or the
-// complete new contents, never a partial mix. A crash mid-append leaves at
-// most one torn record at the tail, which recovery truncates away.
+// through write-temp-then-rename (compaction) — so at every instant the
+// named file on disk is either the complete old contents or the complete new
+// contents, never a partial mix. A crash mid-append leaves at most one torn
+// record at the tail, which recovery truncates away. All of this holds
+// against process death, not power loss: appends and renames are flushed,
+// never fsync'd (ROADMAP item 5).
 //
 // ShardedLog owns the directory: a fixed-size crc'd manifest records the
 // shard fan-out (device_id % n_shards routes every op), and shard k lives
@@ -22,8 +24,7 @@ namespace xpuf::puf::store {
 
 /// Commits `bytes` under `path` without ever exposing a partial file: the
 /// contents land in `<path>.tmp` first and the rename is the atomic switch.
-/// Refuses empty contents — absence of a file is the representation of an
-/// empty shard, so committing a zero-byte file is always a caller bug.
+/// Refuses empty contents: committing a zero-byte file is a caller bug.
 void write_file_atomic(const std::string& path, const std::vector<std::uint8_t>& bytes);
 
 /// Reads `dir`'s shard manifest into `n_shards`. Returns false when no
@@ -49,8 +50,8 @@ class AppendLog {
   /// Current end-of-file offset — the offset the next append lands at.
   std::uint64_t size() const { return size_; }
 
-  /// Appends `bytes` at the end and flushes; returns the end offset AFTER
-  /// the write (the record's durable high-water mark).
+  /// Appends `bytes` at the end and flushes (fflush, no fsync); returns the
+  /// end offset AFTER the write (the record's flushed high-water mark).
   std::uint64_t append(const std::vector<std::uint8_t>& bytes);
 
   /// Reads the whole file into `out` (recovery replay).
@@ -82,10 +83,6 @@ class ShardedLog {
   /// if corrupt), otherwise creates one recording `default_shards`. The
   /// manifest itself is committed via temp-then-rename.
   static ShardedLog open(const std::string& dir, std::uint32_t default_shards);
-
-  /// True when `dir` holds a binary store (manifest file present) — the
-  /// format probe ServerDatabase::load() uses to pick binary vs legacy CSV.
-  static bool is_store_dir(const std::string& dir);
 
   const std::string& dir() const { return dir_; }
   std::uint32_t n_shards() const { return static_cast<std::uint32_t>(shards_.size()); }

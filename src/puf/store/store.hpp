@@ -1,14 +1,17 @@
-// EnrollmentStore — the crash-safe, bounded-memory device registry.
+// EnrollmentStore — the crash-safe, bounded-memory device registry, and
+// the only on-disk form of a ServerDatabase.
 //
 // Durability model: every mutation (register / revoke / issue) is one
 // framed, crc'd record appended to the device's shard log and flushed
-// before the call returns. Recovery replays each shard front to back; a
-// torn tail record (the residue of a crash mid-append) is truncated away
-// and counted, while any *mid-file* corruption is a loud ParseError — the
-// ledger is the replay defense, so guessing at its contents is a security
-// bug. Because replay applies ops in order, a revoked device can never be
-// resurrected by older records, and compaction (write-temp-then-rename per
-// shard) only ever swaps a complete old shard for a complete new one.
+// (fflush, no fsync) before the call returns — it survives process death,
+// not power loss (ROADMAP item 5). Recovery replays each shard front to
+// back; a torn tail record (the residue of a crash mid-append) is truncated
+// away and counted, while any *mid-file* corruption is a loud ParseError —
+// the ledger is the replay defense, so guessing at its contents is a
+// security bug. Because replay applies ops in order, a revoked device can
+// never be resurrected by older records, and compaction
+// (write-temp-then-rename per shard) only ever swaps a complete old shard
+// for a complete new one.
 //
 // Memory model: the index (device -> shard/offset/geometry) and the
 // issued-challenge ledgers stay resident; model weights — the bulk of the
@@ -66,7 +69,7 @@ struct DeviceRecord {
 
 /// Index entry for a device's latest POOL record plus the in-memory drain
 /// cursor. `head` (entries already handed out this process lifetime) is NOT
-/// durable: after a crash it resets to 0 and the replay ledger filters out
+/// logged: after a crash it resets to 0 and the replay ledger filters out
 /// the already-issued prefix, so a pool entry can never be issued twice.
 struct PoolSlot {
   std::uint32_t shard = 0;
@@ -84,9 +87,6 @@ class EnrollmentStore {
   /// logs into the in-memory index/ledgers. Torn tails are truncated and
   /// counted under db.log_truncated; mid-file corruption throws ParseError.
   static EnrollmentStore open(const std::string& dir, StoreOptions options);
-
-  /// True when `dir` holds a binary store (manifest present).
-  static bool is_store_dir(const std::string& dir) { return ShardedLog::is_store_dir(dir); }
 
   const std::string& dir() const { return log_.dir(); }
   const StoreOptions& options() const { return options_; }
@@ -119,9 +119,10 @@ class EnrollmentStore {
   /// alive, so it stays valid across compaction and eviction.
   ModelView model_view(std::uint64_t device_id) const;
 
-  /// Durably replaces the device's stable-challenge pool: appends one POOL
-  /// record (flushed before returning) and points the device's pool slot at
-  /// it with head = 0. Replay keeps the record appended last.
+  /// Replaces the device's stable-challenge pool: appends one POOL record
+  /// (flushed before returning: survives process death, not power loss)
+  /// and points the device's pool slot at it with head = 0. Replay keeps the
+  /// record appended last.
   void record_pool(std::uint64_t device_id, const PoolPayload& pool);
 
   /// Reads and decodes the device's latest POOL record in full. Returns
@@ -152,10 +153,11 @@ class EnrollmentStore {
   std::set<std::string>& ledger(std::uint64_t device_id);
   const std::set<std::string>& ledger(std::uint64_t device_id) const;
 
-  /// Durably acknowledges freshly issued challenges: appends one ISSUE
+  /// Acknowledges freshly issued challenges: appends one ISSUE
   /// record with `fresh` (already inserted into ledger() by the caller) and
   /// updates the fleet-wide + per-shard ledger gauges. The append's flush
-  /// is the acknowledgement point the torture test pins.
+  /// is the acknowledgement point the torture test pins — it survives
+  /// process death, not power loss (ROADMAP item 5).
   void record_issued(std::uint64_t device_id, std::uint32_t stages,
                      const std::vector<std::string>& fresh);
 
@@ -169,7 +171,7 @@ class EnrollmentStore {
   /// copied verbatim, so models stay bit-exact without being decoded.
   void compact();
 
-  /// Current end offset of shard `k` — the durable high-water mark the
+  /// Current end offset of shard `k` — the flushed high-water mark the
   /// truncation torture test records after each op.
   std::uint64_t shard_size(std::uint32_t k) const { return log_.shard(k).size(); }
 
@@ -207,15 +209,5 @@ class EnrollmentStore {
   std::unique_ptr<std::atomic<std::uint64_t>[]> shard_ledger_total_;
   std::vector<Gauge*> shard_gauges_;
 };
-
-/// Writes a complete binary store (manifest + shard logs) for an in-memory
-/// registry, honouring an existing manifest's fan-out when `dir` already is
-/// a store. Every file is committed via write-temp-then-rename and shard
-/// files with no surviving devices are removed — at no point can a reader
-/// observe a partial file. This is ServerDatabase::save()'s backend and the
-/// CSV -> binary migration writer.
-void write_snapshot(const std::string& dir, std::uint32_t default_shards,
-                    const std::map<std::size_t, ServerModel>& models,
-                    const std::map<std::size_t, std::set<std::string>>& ledgers);
 
 }  // namespace xpuf::puf::store

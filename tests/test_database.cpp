@@ -6,10 +6,8 @@
 #include <fstream>
 #include <set>
 
-#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "puf/database.hpp"
-#include "puf/model_store.hpp"
 #include "puf/threshold_adjust.hpp"
 #include "sim/population.hpp"
 
@@ -21,9 +19,7 @@ class DatabaseTest : public ::testing::Test {
   static constexpr std::size_t kNPufs = 3;
 
   DatabaseTest()
-      : pop_(make_config()),
-        rng_(808),
-        db_(DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}}) {
+      : pop_(make_config()), rng_(808), db_(config()) {
     EnrollmentConfig cfg;
     cfg.training_challenges = 2'000;
     cfg.trials = 2'000;
@@ -32,6 +28,25 @@ class DatabaseTest : public ::testing::Test {
       m.set_betas(BetaFactors{0.85, 1.15});
       db_.register_device(std::move(m));
     }
+  }
+
+  static DatabaseConfig config() {
+    return DatabaseConfig{
+        .n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}};
+  }
+
+  static std::string temp_dir(const std::string& tag) {
+    return (std::filesystem::temp_directory_path() /
+            ("xpuf_db_" + tag + "_" + std::to_string(::getpid())))
+        .string();
+  }
+
+  /// A database opened at `dir` holding copies of the fixture's devices.
+  ServerDatabase open_copy(const std::string& dir) {
+    ServerDatabase db = ServerDatabase::open(dir, config());
+    for (std::size_t id = 0; id < pop_.size(); ++id)
+      db.register_device(ServerModel(*db_.model_snapshot(id)));
+    return db;
   }
 
   static sim::PopulationConfig make_config() {
@@ -52,8 +67,8 @@ TEST_F(DatabaseTest, RegistryBookkeeping) {
   EXPECT_TRUE(db_.knows(0));
   EXPECT_TRUE(db_.knows(1));
   EXPECT_FALSE(db_.knows(7));
-  EXPECT_THROW(db_.model(7), std::invalid_argument);
-  EXPECT_NO_THROW(db_.model(0));
+  EXPECT_THROW(db_.model_snapshot(7), std::invalid_argument);
+  EXPECT_NO_THROW(db_.model_snapshot(0));
 }
 
 TEST_F(DatabaseTest, DuplicateRegistrationRejected) {
@@ -135,50 +150,64 @@ TEST_F(DatabaseTest, ReplayedSessionRejectionsAreCounted) {
   EXPECT_EQ(db_.issued_count(0), 32u);  // 16 fresh challenges joined the ledger
 }
 
-// Regression (ISSUE 3, reworked in ISSUE 8): save() once deleted stale
-// device_*/ledger_* files before writing — revoke -> save over an existing
-// directory could resurrect the revoked device on load(), and a crash
-// between delete and write lost the fleet. The binary snapshot writer must
-// keep the fix structurally: each save is a complete write-temp-then-rename
-// image of the surviving registry.
+// Regression: save() once deleted stale device_*/ledger_* files before
+// writing — revoke -> save over an existing directory could resurrect the
+// revoked device on the next load, and a crash between delete and write lost
+// the fleet. The store keeps the fix structurally: the REVOKE record is
+// replayed in order, and compaction swaps each shard for a complete image of
+// the surviving registry via write-temp-then-rename.
 TEST_F(DatabaseTest, RevokeThenSaveDoesNotResurrectOnLoad) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_revoke_" + std::to_string(::getpid())))
-                       .string();
-  db_.issue(1, rng_);  // give device 1 ledger entries too
-  db_.save(dir);
-  EXPECT_TRUE(std::filesystem::exists(dir + "/store_manifest"))
-      << "save() writes the binary store layout";
+  const std::string dir = temp_dir("revoke");
+  std::filesystem::remove_all(dir);
   {
-    ServerDatabase first = ServerDatabase::load(
-        dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
-    EXPECT_TRUE(first.knows(1));
-    EXPECT_EQ(first.issued_count(1), 16u);
+    ServerDatabase db = open_copy(dir);
+    db.issue(1, rng_);  // give device 1 ledger entries too
+    db.save(dir);
   }
-
-  db_.revoke_device(1);
-  db_.save(dir);  // must reconcile, not accrete
-
-  ServerDatabase loaded = ServerDatabase::load(
-      dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
-  EXPECT_EQ(loaded.device_count(), 1u);
-  EXPECT_TRUE(loaded.knows(0));
-  EXPECT_FALSE(loaded.knows(1)) << "revoked device resurrected from stale files";
+  EXPECT_TRUE(std::filesystem::exists(dir + "/store_manifest"))
+      << "the registry lives in the binary store layout";
+  {
+    ServerDatabase db = ServerDatabase::open(dir, config());
+    EXPECT_TRUE(db.knows(1));
+    EXPECT_EQ(db.issued_count(1), 16u);
+    db.revoke_device(1);
+    db.save(dir);  // compaction must drop the device, not accrete
+  }
+  ServerDatabase reopened = ServerDatabase::open(dir, config());
+  EXPECT_EQ(reopened.device_count(), 1u);
+  EXPECT_TRUE(reopened.knows(0));
+  EXPECT_FALSE(reopened.knows(1)) << "revoked device resurrected from stale records";
   std::filesystem::remove_all(dir);
 }
 
 TEST_F(DatabaseTest, SavePreservesUnrelatedFiles) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_unrelated_" + std::to_string(::getpid())))
-                       .string();
+  const std::string dir = temp_dir("unrelated");
+  std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   {
     std::ofstream note(dir + "/README.txt");
     note << "operator notes\n";
   }
-  db_.save(dir);
+  {
+    ServerDatabase db = open_copy(dir);
+    db.save(dir);
+  }
   EXPECT_TRUE(std::filesystem::exists(dir + "/README.txt"))
-      << "save() must only reconcile its own device_*/ledger_* naming";
+      << "open() and save() must only touch the store's own files";
+  EXPECT_EQ(ServerDatabase::open(dir, config()).device_count(), 2u);
+  std::filesystem::remove_all(dir);
+}
+
+// An in-memory database is an ephemeral serving registry: the store is the
+// only way to disk, and an opened database compacts only in its own home.
+TEST_F(DatabaseTest, SaveRequiresAnOpenedDatabase) {
+  EXPECT_THROW(db_.save(temp_dir("in_memory")), std::invalid_argument);
+  const std::string dir = temp_dir("elsewhere");
+  std::filesystem::remove_all(dir);
+  {
+    ServerDatabase db = open_copy(dir);
+    EXPECT_THROW(db.save(dir + "_other"), std::invalid_argument);
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -194,139 +223,41 @@ TEST_F(DatabaseTest, UnknownDeviceIsDeniedWithoutThrowing) {
 }
 
 TEST_F(DatabaseTest, SaveAndLoadPreservesModelsAndLedger) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_" + std::to_string(::getpid())))
-                       .string();
-  db_.issue(0, rng_);
-  db_.issue(0, rng_);
-  const std::size_t issued_before = db_.issued_count(0);
-  db_.save(dir);
-
-  ServerDatabase loaded = ServerDatabase::load(
-      dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
-  EXPECT_EQ(loaded.device_count(), 2u);
-  EXPECT_EQ(loaded.issued_count(0), issued_before);
-  EXPECT_EQ(loaded.issued_count(1), 0u);
+  const std::string dir = temp_dir("save");
+  std::filesystem::remove_all(dir);
+  std::size_t issued_before = 0;
+  {
+    ServerDatabase db = open_copy(dir);
+    db.issue(0, rng_);
+    db.issue(0, rng_);
+    issued_before = db.issued_count(0);
+    db.save(dir);  // compaction
+  }
+  ServerDatabase reopened = ServerDatabase::open(dir, config());
+  EXPECT_EQ(reopened.device_count(), 2u);
+  EXPECT_EQ(reopened.issued_count(0), issued_before);
+  EXPECT_EQ(reopened.issued_count(1), 0u);
+  // Models survive compaction bit-exactly.
+  for (std::size_t id = 0; id < pop_.size(); ++id) {
+    const auto original = db_.model_snapshot(id);
+    const auto survived = reopened.model_snapshot(id);
+    ASSERT_EQ(survived->puf_count(), original->puf_count());
+    for (std::size_t p = 0; p < original->puf_count(); ++p)
+      EXPECT_EQ(survived->puf(p).model.weights().raw(),
+                original->puf(p).model.weights().raw());
+  }
   // The restored database still authenticates the genuine chip.
   const DatabaseAuthOutcome out =
-      loaded.authenticate(pop_.chip(0), sim::Environment::nominal(), rng_);
+      reopened.authenticate(pop_.chip(0), sim::Environment::nominal(), rng_);
   EXPECT_TRUE(out.outcome.approved);
   std::filesystem::remove_all(dir);
 }
 
-// The legacy CSV layout (PR 3's save format) must keep loading, and one
-// save() must migrate it to the binary store bit-exactly: same models, same
-// ledger keys, challenge strings converted to packed form.
-TEST_F(DatabaseTest, LegacyCsvDirectoryMigratesToBinaryOnFirstSave) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_legacy_" + std::to_string(::getpid())))
-                       .string();
-  std::filesystem::create_directories(dir);
-  // Write the legacy layout by hand: device_<id>.csv per model plus a
-  // ledger_<id>.csv of '0'/'1' challenge strings.
-  const std::size_t stages = db_.model(0).stages();
-  std::vector<std::string> rows;
-  Rng crng(4242);
-  for (int r = 0; r < 5; ++r) {
-    std::string row(stages, '0');
-    for (auto& ch : row) ch = crng.uniform() < 0.5 ? '0' : '1';
-    rows.push_back(row);
-  }
-  for (std::size_t id : {std::size_t{0}, std::size_t{1}})
-    save_server_model(db_.model(id), dir + "/device_" + std::to_string(id) + ".csv");
-  {
-    CsvWriter ledger(dir + "/ledger_0.csv", {"challenge"});
-    for (const auto& row : rows) ledger.write_row(std::vector<std::string>{row});
-  }
-
-  ServerDatabase loaded = ServerDatabase::load(
-      dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
-  EXPECT_EQ(loaded.device_count(), 2u);
-  EXPECT_EQ(loaded.issued_count(0), rows.size());
-  EXPECT_EQ(loaded.issued_count(1), 0u);
-
-  loaded.save(dir);  // the migration point
-  EXPECT_TRUE(std::filesystem::exists(dir + "/store_manifest"));
-  EXPECT_FALSE(std::filesystem::exists(dir + "/device_0.csv"))
-      << "migration must retire the CSV files after the snapshot is durable";
-  EXPECT_FALSE(std::filesystem::exists(dir + "/ledger_0.csv"));
-
-  // Round trip through the binary format is bit-exact: model weights and the
-  // packed form of every legacy ledger row survive.
-  ServerDatabase migrated = ServerDatabase::load(
-      dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
-  EXPECT_EQ(migrated.device_count(), 2u);
-  for (std::size_t id : {std::size_t{0}, std::size_t{1}}) {
-    const ServerModel& original = db_.model(id);
-    const ServerModel& survived = migrated.model(id);
-    ASSERT_EQ(survived.puf_count(), original.puf_count());
-    for (std::size_t p = 0; p < original.puf_count(); ++p)
-      EXPECT_EQ(survived.puf(p).model.weights().raw(),
-                original.puf(p).model.weights().raw());
-  }
-  const store::EnrollmentStore st =
-      store::EnrollmentStore::open(dir, store::StoreOptions{});
-  std::set<std::string> expected_keys;
-  for (const auto& row : rows) {
-    Challenge c;
-    for (char ch : row) c.push_back(ch == '1' ? 1 : 0);
-    expected_keys.insert(store::pack_challenge(c));
-  }
-  EXPECT_EQ(st.ledger(0), expected_keys);
-  std::filesystem::remove_all(dir);
-}
-
-// Regression (ISSUE 8): load() silently skipped ledger_* files whose
-// device_* partner was missing — the residue of a mid-save crash of the old
-// delete-then-write writer. Forgetting issued challenges re-opens the replay
-// window, so an orphan must fail loudly.
-TEST_F(DatabaseTest, OrphanedLegacyLedgerIsAParseError) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_orphan_" + std::to_string(::getpid())))
-                       .string();
-  std::filesystem::create_directories(dir);
-  save_server_model(db_.model(0), dir + "/device_0.csv");
-  {
-    CsvWriter ledger(dir + "/ledger_9.csv", {"challenge"});
-    ledger.write_row(std::vector<std::string>{std::string(db_.model(0).stages(), '1')});
-  }
-  EXPECT_THROW(ServerDatabase::load(
-                   dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {}, .screening = {}, .pool = {}}),
-               ParseError);
-  std::filesystem::remove_all(dir);
-}
-
-// Corrupt legacy ledger rows (bad characters or wrong width) must be a
-// ParseError, not a silently different replay key.
-TEST_F(DatabaseTest, CorruptLegacyLedgerRowIsAParseError) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_badrow_" + std::to_string(::getpid())))
-                       .string();
-  for (const char* bad : {"01x", "01"}) {
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    save_server_model(db_.model(0), dir + "/device_0.csv");
-    {
-      CsvWriter ledger(dir + "/ledger_0.csv", {"challenge"});
-      ledger.write_row(std::vector<std::string>{bad});
-    }
-    EXPECT_THROW(ServerDatabase::load(
-                     dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {}, .screening = {}, .pool = {}}),
-                 ParseError)
-        << "ledger row '" << bad << "' accepted";
-  }
-  std::filesystem::remove_all(dir);
-}
-
 // A store-backed database shares the serving semantics of the in-memory one
-// but every op is durable: kill the object at any point and reopen.
+// but every op is logged: kill the object at any point and reopen.
 TEST_F(DatabaseTest, BackedDatabaseAuthenticatesAndSurvivesReopen) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_backed_" + std::to_string(::getpid())))
-                       .string();
+  const std::string dir = temp_dir("backed");
   std::filesystem::remove_all(dir);
-  const DatabaseConfig cfg{
-      .n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}};
   store::StoreOptions opts;
   opts.n_shards = 2;
   opts.cache_capacity = 1;  // harsher than any deployment would pick
@@ -334,8 +265,8 @@ TEST_F(DatabaseTest, BackedDatabaseAuthenticatesAndSurvivesReopen) {
   ecfg.training_challenges = 2'000;
   ecfg.trials = 2'000;
   {
-    ServerDatabase db = ServerDatabase::open(dir, cfg, opts);
-    EXPECT_TRUE(db.backed());
+    ServerDatabase db = ServerDatabase::open(dir, config(), opts);
+    EXPECT_EQ(db.store().n_shards(), 2u);
     for (std::size_t i = 0; i < pop_.size(); ++i) {
       ServerModel m = Enroller(ecfg).enroll(pop_.chip(i), rng_);
       m.set_betas(BetaFactors{0.85, 1.15});
@@ -346,22 +277,17 @@ TEST_F(DatabaseTest, BackedDatabaseAuthenticatesAndSurvivesReopen) {
     EXPECT_TRUE(out.outcome.approved);
     EXPECT_EQ(db.issued_count(0), 16u);
     EXPECT_EQ(db.store().cache_size(), 1u);
-  }  // no save(): durability came from the op log itself
-  ServerDatabase reopened = ServerDatabase::open(dir, cfg, opts);
+  }  // no save(): the op log itself carries every op
+  ServerDatabase reopened = ServerDatabase::open(dir, config(), opts);
   EXPECT_EQ(reopened.device_count(), 2u);
   EXPECT_EQ(reopened.issued_count(0), 16u);
-  EXPECT_THROW(reopened.model(0), std::invalid_argument)
-      << "backed databases serve via model_snapshot(), not references";
+  EXPECT_EQ(reopened.issued_count(1), 0u);
   EXPECT_NE(reopened.model_snapshot(0), nullptr);
+  EXPECT_THROW(reopened.model_snapshot(7), std::invalid_argument);
   const DatabaseAuthOutcome out =
       reopened.authenticate(pop_.chip(0), sim::Environment::nominal(), rng_);
   EXPECT_TRUE(out.outcome.approved);
   std::filesystem::remove_all(dir);
-}
-
-TEST_F(DatabaseTest, LoadRejectsMissingDirectory) {
-  EXPECT_THROW(ServerDatabase::load("/nonexistent/db/dir", DatabaseConfig{}),
-               std::invalid_argument);
 }
 
 TEST_F(DatabaseTest, WidthMismatchRejectedAtRegistration) {

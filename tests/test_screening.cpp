@@ -367,6 +367,45 @@ TEST(IssuancePool, CrashRecoveryRedrainIsScreenedByTheDurableLedger) {
   fs::remove_all(dir);
 }
 
+// Regression: a refill checked candidates against the ledger but not against
+// the pool it was building, so a small challenge space let the same
+// challenge enter one pool twice and the drain's replay guard then counted
+// the second copy — in a crash-free run. 8 stages leave 256 challenges, so
+// the candidate stream repeats long before 48 stable entries are found.
+TEST(IssuancePool, RefillNeverPoolsTheSameChallengeTwice) {
+  const std::string dir = unique_dir("pool_distinct");
+  fs::remove_all(dir);
+  constexpr std::size_t kTarget = 48;
+  DatabaseConfig cfg = pooled_config(kTarget);
+  cfg.pool.low_water = 0;  // no top-up: the drain below empties one pool
+  {
+    ServerDatabase db = ServerDatabase::open(dir, cfg);
+    db.register_device(make_plain_model(0, 8));
+    store::PoolPayload pool;
+    ASSERT_TRUE(db.store().read_pool(0, pool));
+    ASSERT_EQ(pool.keys.size(), kTarget);
+    const std::set<std::string> distinct(pool.keys.begin(), pool.keys.end());
+    EXPECT_EQ(distinct.size(), pool.keys.size()) << "a challenge was pooled twice";
+
+    const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+    std::set<Challenge> seen;
+    for (std::size_t round = 0; round < kTarget / 16; ++round) {
+      Rng rng(round);
+      const ChallengeBatch batch = db.issue(0, rng);
+      EXPECT_EQ(batch.replay_rejected, 0u) << "round " << round;
+      EXPECT_EQ(batch.candidates_tried, 0u) << "round " << round << " was not a pure drain";
+      for (const auto& c : batch.challenges)
+        EXPECT_TRUE(seen.insert(c).second) << "challenge reused in round " << round;
+    }
+    const MetricsSnapshot after = MetricsRegistry::global().snapshot();
+    EXPECT_EQ(counter_or_zero(after, "auth.replay_rejected"),
+              counter_or_zero(before, "auth.replay_rejected"));
+    EXPECT_EQ(db.pool_remaining(0), 0u);
+    EXPECT_EQ(db.issued_count(0), kTarget);
+  }
+  fs::remove_all(dir);
+}
+
 // --- POOL records in the store ----------------------------------------------
 
 store::PoolPayload make_pool_payload(std::uint32_t stages, std::size_t entries) {

@@ -485,37 +485,5 @@ TEST_F(StoreDirTest, TruncationAtEveryByteRecoversTheExactAcknowledgedPrefix) {
   fs::remove_all(torn_dir);
 }
 
-// --- snapshot writer --------------------------------------------------------
-
-TEST_F(StoreDirTest, WriteSnapshotProducesAReplayableStore) {
-  std::map<std::size_t, ServerModel> models;
-  std::map<std::size_t, std::set<std::string>> ledgers;
-  for (std::size_t id : {0u, 3u, 17u}) {
-    models.emplace(id, make_model(id, 2, 8));
-    ledgers[id].insert(std::string(1, static_cast<char>(id)));
-  }
-  write_snapshot(dir_, 4, models, ledgers);
-  EXPECT_TRUE(EnrollmentStore::is_store_dir(dir_));
-
-  StoreOptions opts;
-  opts.n_shards = 4;
-  EnrollmentStore store = EnrollmentStore::open(dir_, opts);
-  EXPECT_EQ(store.device_count(), 3u);
-  EXPECT_EQ(store.issued_total(), 3u);
-  for (const auto& [id, m] : models) {
-    expect_models_bit_exact(m, *store.model(id));
-    EXPECT_EQ(store.ledger(id), ledgers.at(id));
-  }
-
-  // A second snapshot with a device gone removes its shard content: no
-  // resurrection from a stale shard file.
-  models.erase(17);
-  ledgers.erase(17);
-  write_snapshot(dir_, 4, models, ledgers);
-  EnrollmentStore reloaded = EnrollmentStore::open(dir_, opts);
-  EXPECT_EQ(reloaded.device_count(), 2u);
-  EXPECT_FALSE(reloaded.knows(17));
-}
-
 }  // namespace
 }  // namespace xpuf::puf::store

@@ -4,7 +4,8 @@
 #   release   Release, -DXPUF_WERROR=ON, full ctest (incl. `-L lint`:
 #             the semantic engine over the tree, the fixture suite
 #             tests/test_lint_semantic, and .clang-tidy validation)
-#   lint      xpuf_lint --format json artifact (bench_out/ci/
+#   lint      no build tree tracked by git (build/, build-*/, build_*/,
+#             .bench_build/); xpuf_lint --format json artifact (bench_out/ci/
 #             lint_report.json) gated by tools/check_lint_baseline.py:
 #             zero violations, per-rule suppression counts within the
 #             shrink-only budget in tools/lint_baseline.json
@@ -204,10 +205,30 @@ auth_job() {
     fi
 }
 
+# Build trees are run artifacts, never sources: fail when git tracks any
+# path under build/, build-*/, build_*/ or .bench_build/ (at any depth, as
+# .gitignore ignores them). Skipped outside a git checkout.
+committed_build_tree_guard() {
+  if ! command -v git >/dev/null 2>&1 || [ ! -e .git ]; then
+    echo "git or .git absent; committed-build-tree guard skipped"
+    return 0
+  fi
+  local tracked
+  tracked="$(git ls-files | grep -E '(^|/)(build|build-[^/]*|build_[^/]*|\.bench_build)/' || true)"
+  if [ -n "${tracked}" ]; then
+    echo "committed build tree: git tracks $(echo "${tracked}" | wc -l) build artifact(s):" >&2
+    echo "${tracked}" | head -n 20 >&2
+    return 1
+  fi
+  echo "no committed build trees"
+}
+
 # Lint artifact + suppression-budget gate. The engine's exit code is folded
 # into the python gate (which prints the offending findings); without
-# python3 the raw exit code is the gate.
+# python3 the raw exit code is the gate. The committed-build-tree guard runs
+# first.
 lint_job() {
+  committed_build_tree_guard || return 1
   local status=0
   "${prefix}/tools/xpuf_lint" --root . --format json \
     --out "${logdir}/lint_report.json" || status=$?
