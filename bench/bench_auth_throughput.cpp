@@ -8,9 +8,9 @@
 // reference implementation on the same workload, with bit-identity and
 // zero-metrics-drift audits run in-process (the exit code IS the audit):
 //
-//   screening A/B — ChallengeScreener serial (per-candidate reference walk)
-//       vs batched (sim::FeatureBlock + ChipLinearView tile kernels, one Phi
-//       build + one register-blocked weight product per block). The issued
+//   screening A/B — packed kernel vs reference walk: the serial
+//       per-candidate walk (puf/screening_reference.hpp) vs ChallengeScreener
+//       (packed challenge words, sign-flip dots, per-PUF cascade). The issued
 //       challenge sequence, expected-response bits and exact
 //       candidates_tried are asserted bit-identical per sampled device
 //       before either side is timed.
@@ -30,7 +30,8 @@
 // zero-copy mmap path (db.mmap_hits) rather than record re-decoding.
 //
 // In-run audits (any failure exits non-zero):
-//   bit-identity  — serial == batched screening walks per sampled device;
+//   bit-identity  — reference == packed-kernel screening walks per sampled
+//                   device;
 //                   store-backed pooled drain == fresh-twin pooled drain.
 //   zero drift    — auth.pool_hits + auth.pool_misses == db.issue_requests,
 //                   zero pool misses on the pooled slice, model resolutions
@@ -47,6 +48,9 @@
 //   enroll_seconds, devices_per_sec          pool-enabled registration
 //   compact_seconds                          log compaction (enables mmap)
 //   screen_serial_seconds, screen_batched_seconds, screen_speedup
+//                                            reference walk, packed kernel
+//                                            (field names kept so records
+//                                            compare across commits)
 //   issue_live_seconds, issue_pooled_seconds, pool_speedup
 //   auths_per_sec                            pooled side (the headline)
 //   auths_per_sec_live                       reference side
@@ -75,6 +79,7 @@
 #include "puf/database.hpp"
 #include "puf/model_view.hpp"
 #include "puf/screening.hpp"
+#include "puf/screening_reference.hpp"
 #include "puf/store/store.hpp"
 
 namespace {
@@ -133,23 +138,26 @@ struct ScreenWalk {
   xpuf::puf::ChallengeScreener::Outcome out;
 };
 
-/// Runs one accept-all screening walk over `view` and records the full
-/// issued sequence (used for the serial-vs-batched bit-identity audit and
-/// as the timed kernel of the screening A/B).
-ScreenWalk run_screen(const xpuf::puf::ModelView& view, std::size_t n_pufs,
-                      const xpuf::puf::ScreeningOptions& opts,
+/// Runs one accept-all screening walk over `view` — the reference walk or
+/// the packed kernel — and records the full issued sequence (used for the
+/// bit-identity audit and as the timed body of the screening A/B).
+ScreenWalk run_screen(const xpuf::puf::ModelView& view, std::size_t n_pufs, bool reference,
                       std::uint64_t family_base, std::size_t count,
                       std::size_t max_attempts) {
   using xpuf::puf::Challenge;
   ScreenWalk walk;
-  xpuf::puf::ChallengeScreener screener(view, n_pufs, opts);
   const xpuf::StreamFamily family(family_base);
-  walk.out = screener.screen(
-      family, 0, count, max_attempts, [&](Challenge&& c, bool bit) {
-        walk.challenges.push_back(std::move(c));
-        walk.bits.push_back(bit);
-        return true;
-      });
+  const xpuf::puf::ChallengeScreener::Sink sink = [&](Challenge&& c, bool bit) {
+    walk.challenges.push_back(std::move(c));
+    walk.bits.push_back(bit);
+    return true;
+  };
+  if (reference) {
+    walk.out = xpuf::puf::screen_reference(view, n_pufs, family, 0, count, max_attempts, sink);
+  } else {
+    xpuf::puf::ChallengeScreener screener(view, n_pufs);
+    walk.out = screener.screen(family, 0, count, max_attempts, sink);
+  }
   return walk;
 }
 
@@ -159,7 +167,7 @@ int main(int argc, char** argv) {
   using namespace xpuf;
   benchutil::BenchHarness bench(
       argc, argv, "auth_throughput",
-      "Authentication hot path: batched screening + pooled issuance A/B");
+      "Authentication hot path: packed screening kernel + pooled issuance A/B");
   const BenchScale& scale = bench.scale();
 
   const auto devices = static_cast<std::uint64_t>(
@@ -225,7 +233,7 @@ int main(int argc, char** argv) {
   // --- phase 1: pool-enabled enrollment ------------------------------------
   // Every REGISTER is durably appended and immediately followed by the
   // device's POOL record: registration pre-screens `pool_target` stable
-  // challenges through the batched screener, which is exactly the work the
+  // challenges through the packed screener, which is exactly the work the
   // issuance hot path no longer has to do.
   std::printf("enrolling %llu devices (%zu-PUF, %zu stages, pool %zu)...\n",
               static_cast<unsigned long long>(devices), n_pufs, stages,
@@ -247,8 +255,8 @@ int main(int argc, char** argv) {
   const double compact_seconds = timer.seconds();
   XPUF_REQUIRE(db.device_count() == devices, "compaction lost devices");
 
-  // --- phase 3: screening A/B (serial reference vs batched core) -----------
-  // Sampled devices get one full accept-all walk per mode; bit-identity of
+  // --- phase 3: screening A/B (packed kernel vs reference walk) -----------
+  // Sampled devices get one full accept-all walk per side; bit-identity of
   // the issued sequence, the expected bits and the exact tried/accepted
   // accounting is asserted BEFORE either side is timed, so the timing
   // compares two provably equivalent kernels. Walks run on snapshot-backed
@@ -257,10 +265,6 @@ int main(int argc, char** argv) {
   std::printf("screening A/B: %llu devices x %zu challenges/walk...\n",
               static_cast<unsigned long long>(screen_devices), screen_count);
   const std::size_t screen_attempts = screen_count * 1000;
-  puf::ScreeningOptions serial_opts;
-  serial_opts.batched = false;
-  puf::ScreeningOptions batched_opts;
-  batched_opts.batched = true;
   std::vector<std::shared_ptr<const puf::ServerModel>> screen_models;
   std::vector<std::uint64_t> screen_bases;
   for (std::uint64_t i = 0; i < screen_devices; ++i) {
@@ -271,23 +275,23 @@ int main(int argc, char** argv) {
   std::uint64_t screen_candidates = 0;
   for (std::uint64_t i = 0; i < screen_devices; ++i) {
     const puf::ModelView view = puf::ModelView::of(*screen_models[i]);
-    const ScreenWalk serial = run_screen(view, n_pufs, serial_opts,
+    const ScreenWalk reference = run_screen(view, n_pufs, /*reference=*/true,
+                                            screen_bases[i], screen_count,
+                                            screen_attempts);
+    const ScreenWalk packed = run_screen(view, n_pufs, /*reference=*/false,
                                          screen_bases[i], screen_count,
                                          screen_attempts);
-    const ScreenWalk batched = run_screen(view, n_pufs, batched_opts,
-                                          screen_bases[i], screen_count,
-                                          screen_attempts);
-    audit(serial.out.filled && batched.out.filled,
+    audit(reference.out.filled && packed.out.filled,
           "screening walk exhausted its attempt budget");
-    audit(serial.challenges == batched.challenges &&
-              serial.bits == batched.bits,
-          "serial and batched screening issued different sequences");
-    audit(serial.out.tried == batched.out.tried &&
-              serial.out.stable == batched.out.stable &&
-              serial.out.accepted == batched.out.accepted &&
-              serial.out.next_index == batched.out.next_index,
-          "serial and batched screening accounting diverged");
-    screen_candidates += serial.out.tried;
+    audit(reference.challenges == packed.challenges &&
+              reference.bits == packed.bits,
+          "reference walk and packed kernel issued different sequences");
+    audit(reference.out.tried == packed.out.tried &&
+              reference.out.stable == packed.out.stable &&
+              reference.out.accepted == packed.out.accepted &&
+              reference.out.next_index == packed.out.next_index,
+          "reference walk and packed kernel accounting diverged");
+    screen_candidates += reference.out.tried;
   }
   double screen_serial_seconds = std::numeric_limits<double>::infinity();
   double screen_batched_seconds = std::numeric_limits<double>::infinity();
@@ -295,13 +299,13 @@ int main(int argc, char** argv) {
     timer.reset();
     for (std::uint64_t i = 0; i < screen_devices; ++i)
       (void)run_screen(puf::ModelView::of(*screen_models[i]), n_pufs,
-                       serial_opts, screen_bases[i], screen_count,
+                       /*reference=*/true, screen_bases[i], screen_count,
                        screen_attempts);
     screen_serial_seconds = std::min(screen_serial_seconds, timer.seconds());
     timer.reset();
     for (std::uint64_t i = 0; i < screen_devices; ++i)
       (void)run_screen(puf::ModelView::of(*screen_models[i]), n_pufs,
-                       batched_opts, screen_bases[i], screen_count,
+                       /*reference=*/false, screen_bases[i], screen_count,
                        screen_attempts);
     screen_batched_seconds = std::min(screen_batched_seconds, timer.seconds());
   }
@@ -476,11 +480,12 @@ int main(int argc, char** argv) {
   t.add_row({"devices/sec", Table::num(devices_per_sec, 0)});
   t.add_row({"compaction [s]", Table::num(compact_seconds, 3)});
   t.add_row({"screening candidates/walk-set", std::to_string(screen_candidates)});
-  t.add_row({"screen serial [s] (min of reps)",
+  t.add_row({"screen reference walk [s] (min of reps)",
              Table::num(screen_serial_seconds, 4)});
-  t.add_row({"screen batched [s] (min of reps)",
+  t.add_row({"screen packed kernel [s] (min of reps)",
              Table::num(screen_batched_seconds, 4)});
-  t.add_row({"screening speedup", Table::num(screen_speedup, 2)});
+  t.add_row({"screening speedup (packed kernel vs reference walk)",
+             Table::num(screen_speedup, 2)});
   t.add_row({"auths per side x reps", std::to_string(auths) + " x " +
                                           std::to_string(reps)});
   t.add_row({"issue live [s] (min of reps)", Table::num(issue_live_seconds, 4)});
@@ -507,7 +512,7 @@ int main(int argc, char** argv) {
     for (const auto& v : drift) std::printf("  %s\n", v.c_str());
     return 1;
   }
-  std::printf("\nall audits green: bit-identical screening modes, pure pooled "
+  std::printf("\nall audits green: packed kernel == reference walk, pure pooled "
               "drains, zero metrics drift, flat RSS\n");
   return 0;
 }

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   // — the per-device issuance signal that makes chosen-challenge probing
   // observable.
   puf::ServerDatabase db(
-      puf::DatabaseConfig{.n_pufs = n_pufs, .policy = {.challenge_count = batch_size}, .screening = {}, .pool = {}});
+      puf::DatabaseConfig{.n_pufs = n_pufs, .policy = {.challenge_count = batch_size}, .pool = {}});
   db.register_device(model);
   Rng first_session(424242);
   const puf::DatabaseAuthOutcome first =

@@ -230,7 +230,7 @@ std::size_t ServerDatabase::refill_pool(std::size_t chip_id, const ModelView& vi
       config_.pool.target > next.keys.size() ? config_.pool.target - next.keys.size() : 0;
   std::size_t tried = 0;
   if (want > 0) {
-    ChallengeScreener screener(view, config_.n_pufs, config_.screening);
+    ChallengeScreener screener(view, config_.n_pufs);
     const StreamFamily family = device_family(chip_id);
     // Already-issued and already-pooled challenges (carried-over leftovers
     // included — a small challenge space repeats candidates) never enter
@@ -265,7 +265,7 @@ void ServerDatabase::fill_live(const ModelView& view, std::set<std::string>& led
   XPUF_REQUIRE(batch.challenges.size() < config_.policy.challenge_count,
                "fill_live called with an already-full batch");
   const std::size_t need = config_.policy.challenge_count - batch.challenges.size();
-  ChallengeScreener screener(view, config_.n_pufs, config_.screening);
+  ChallengeScreener screener(view, config_.n_pufs);
   const StreamFamily family(rng.fork_base());
   const ChallengeScreener::Sink sink = [&](Challenge&& challenge, bool bit) {
     std::string key = store::pack_challenge(challenge);
@@ -285,8 +285,12 @@ void ServerDatabase::fill_live(const ModelView& view, std::set<std::string>& led
       family, 0, need, config_.policy.max_selection_attempts, sink);
   batch.candidates_tried += outcome.tried;
   record_screening(outcome.tried, outcome.accepted);
-  if (!outcome.filled)
+  if (!outcome.filled) {
+    // Nothing of this batch is sent or logged: un-remember every key it
+    // put in the ledger (pool-drained ones included) before failing.
+    for (const std::string& key : fresh) ledger.erase(key);
     throw NumericalError("challenge issuance exhausted its attempt budget");
+  }
 }
 
 void ServerDatabase::finish_issue(std::size_t chip_id, std::uint32_t stages,

@@ -53,7 +53,7 @@ namespace xpuf::puf {
 
 /// Per-device pre-screened stable-challenge pools — the issuance hot path.
 /// With pooling on, registration (and a low-water refill) screens `target`
-/// predicted-stable challenges per device through the batched screener and
+/// predicted-stable challenges per device through the packed screener and
 /// persists them (opened: a POOL record in the store's log; in-memory: a
 /// registry entry), so a steady-state issue() drains O(challenge_count)
 /// entries instead of rejection-sampling ~challenge_count / 0.800^n live
@@ -71,8 +71,7 @@ struct PoolPolicy {
 struct DatabaseConfig {
   std::size_t n_pufs = 10;  ///< XOR width used for every device
   AuthenticationPolicy policy;
-  ScreeningOptions screening;  ///< candidate screening mode (batched default)
-  PoolPolicy pool;             ///< issuance pools (disabled by default)
+  PoolPolicy pool;  ///< issuance pools (disabled by default)
 };
 
 /// Result of a database-level authentication request.
@@ -190,7 +189,9 @@ class ServerDatabase {
   std::size_t refill_pool(std::size_t chip_id, const ModelView& view,
                           const std::set<std::string>& ledger);
   /// Completes `batch` to challenge_count via live screening (the shared
-  /// kernel of issue_live and the pool-bypass fallback).
+  /// kernel of issue_live and the pool-bypass fallback). When the attempt
+  /// budget runs out it erases every key of `fresh` from the ledger, then
+  /// throws NumericalError.
   void fill_live(const ModelView& view, std::set<std::string>& ledger,
                  ChallengeBatch& batch, std::vector<std::string>& fresh, Rng& rng);
   /// Common issue() epilogue: replay/issued metrics + logged ledger append.

@@ -1,8 +1,8 @@
 // Lightweight read view of one device's enrolled model.
 //
 // The authentication hot path needs three things from a model: the weight
-// rows (for batched screening GEMMs), the beta-adjusted thresholds, and the
-// geometry. A ModelView carries exactly that as borrowed pointers plus a
+// rows (for the packed screening kernel), the beta-adjusted thresholds, and
+// the geometry. A ModelView carries exactly that as borrowed pointers plus a
 // type-erased owner handle, so the same screening code serves
 //
 //   - an in-memory ServerModel (selection/issue on the registry map),

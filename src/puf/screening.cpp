@@ -5,16 +5,15 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 
 namespace xpuf::puf {
 
 namespace {
 
-/// Rows per parallel_for chunk when evaluating a block tile. Chunking is
-/// bit-invisible (each output cell is an independent ascending dot), so this
-/// only balances scheduling overhead against load spread.
-constexpr std::size_t kEvalRowChunk = 64;
+/// Most candidates screened per block. Any value yields the identical
+/// issued sequence; it only trades per-block overhead against candidates
+/// evaluated past the one that fills the quota.
+constexpr std::size_t kBlock = 512;
 
 }  // namespace
 
@@ -31,24 +30,12 @@ void record_screening(std::size_t tried, std::size_t accepted) {
   per_batch.observe(static_cast<double>(tried));
 }
 
-ChallengeScreener::ChallengeScreener(const ModelView& view, std::size_t n_pufs,
-                                     ScreeningOptions options)
-    : view_(&view), n_pufs_(n_pufs), options_(options) {
+ChallengeScreener::ChallengeScreener(const ModelView& view, std::size_t n_pufs)
+    : view_(&view), n_pufs_(n_pufs) {
   XPUF_REQUIRE(!view.empty(), "screener needs a non-empty model view");
   XPUF_REQUIRE(n_pufs >= 1 && n_pufs <= view.puf_count(), "screener n_pufs out of range");
-  XPUF_REQUIRE(options.block >= 1, "screening block must hold at least one candidate");
   thresholds_.reserve(n_pufs);
-  std::vector<sim::DeviceLinearView> devices;
-  devices.reserve(n_pufs);
-  for (std::size_t p = 0; p < n_pufs; ++p) {
-    thresholds_.push_back(view.adjusted_thresholds(p));
-    const std::span<const double> w = view.weights(p);
-    // sigma is irrelevant here: screening consumes only the raw linear
-    // product (delay_differences), never the noise CDF.
-    devices.push_back(sim::DeviceLinearView{
-        linalg::Vector(std::vector<double>(w.begin(), w.end())), 1.0});
-  }
-  chip_view_ = sim::ChipLinearView(std::move(devices));
+  for (std::size_t p = 0; p < n_pufs; ++p) thresholds_.push_back(view.adjusted_thresholds(p));
 }
 
 void ChallengeScreener::candidate_into(Challenge& out, std::size_t stages, Rng& rng) {
@@ -62,6 +49,40 @@ void ChallengeScreener::candidate_into(Challenge& out, std::size_t stages, Rng& 
   }
 }
 
+std::size_t ChallengeScreener::cascade(std::size_t n) {
+  XPUF_REQUIRE(n <= kBlock, "cascade block larger than the block buffers");
+  const std::size_t stages = view_->stages();
+  const std::size_t nw = sim::packed_words(stages);
+  // Local pointers: the byte stores below may alias any member, which
+  // would otherwise force a reload of every buffer pointer per candidate.
+  std::uint64_t* const signs = signs_.data();
+  std::uint32_t* const live = live_.data();
+  std::uint8_t* const bits = bits_.data();
+  const double* const raw = raw_.data();
+  sim::parity_signs(words_.data(), stages, n, signs, kBlock);
+  for (std::size_t j = 0; j < n; ++j) {
+    live[j] = static_cast<std::uint32_t>(j);
+    bits[j] = 0;
+  }
+  for (std::size_t p = 0; p < n_pufs_ && n > 0; ++p) {
+    sim::sign_flip_dots(signs, kBlock, n, view_->weights(p), raw_.data());
+    const ThresholdPair thr = thresholds_[p];
+    // Branch-free compaction: every candidate is copied to slot `kept`
+    // (kept <= j, so nothing unread is overwritten) and only a stable one
+    // advances it; a PUF's verdicts are coin flips a branch would mispredict.
+    std::size_t kept = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double r = raw[j];
+      for (std::size_t w = 0; w < nw; ++w) signs[w * kBlock + kept] = signs[w * kBlock + j];
+      live[kept] = live[j];
+      bits[kept] = static_cast<std::uint8_t>(bits[j] ^ (r > 0.5 ? 1u : 0u));
+      kept += thr.classify(r) != StableClass::kUnstable ? 1u : 0u;
+    }
+    n = kept;
+  }
+  return n;
+}
+
 ChallengeScreener::Outcome ChallengeScreener::screen(const StreamFamily& family,
                                                      std::uint64_t first_index,
                                                      std::size_t count,
@@ -69,93 +90,42 @@ ChallengeScreener::Outcome ChallengeScreener::screen(const StreamFamily& family,
                                                      const Sink& sink) {
   XPUF_REQUIRE(count >= 1, "screening quota must be positive");
   XPUF_REQUIRE(sink != nullptr, "screening needs a sink");
-  Outcome out = options_.batched
-                    ? screen_batched(family, first_index, count, max_attempts, sink)
-                    : screen_serial(family, first_index, count, max_attempts, sink);
-  out.next_index = first_index + out.tried;
-  return out;
-}
-
-// The reference walk the batched mode is bit-identical to: one candidate at
-// a time, one feature row, n ascending dots. Kept deliberately scalar as the
-// oracle for the A/B bench and the equivalence suite. Params are validated
-// by screen().  xpuf-lint: guarded-by(candidate_into)
-ChallengeScreener::Outcome ChallengeScreener::screen_serial(
-    const StreamFamily& family, std::uint64_t first_index, std::size_t count,
-    std::size_t max_attempts, const Sink& sink) {
-  Outcome out;
   const std::size_t stages = view_->stages();
-  const std::size_t features = stages + 1;
-  std::vector<double> phi(features);
-  std::vector<double> raw(n_pufs_);
-  Challenge candidate;
-  while (out.accepted < count && out.tried < max_attempts) {
-    Rng rng = family.stream(first_index + out.tried);
-    candidate_into(candidate, stages, rng);
-    ++out.tried;
-    sim::feature_fill(candidate, phi.data());
-    bool stable = true;
-    for (std::size_t p = 0; p < n_pufs_ && stable; ++p) {
-      const std::span<const double> w = view_->weights(p);
-      double acc = 0.0;
-      for (std::size_t k = 0; k < features; ++k) acc += phi[k] * w[k];
-      raw[p] = acc;
-      stable = thresholds_[p].classify(acc) != StableClass::kUnstable;
-    }
-    if (!stable) continue;
-    // The early-exit above never fires for a stable candidate, so every
-    // raw[p] is populated here.
-    ++out.stable;
-    bool bit = false;
-    for (std::size_t p = 0; p < n_pufs_; ++p) bit ^= raw[p] > 0.5;
-    if (sink(std::move(candidate), bit)) ++out.accepted;
-  }
-  out.filled = out.accepted >= count;
-  return out;
-}
-
-// Params are validated by screen().  xpuf-lint: guarded-by(candidate_into)
-ChallengeScreener::Outcome ChallengeScreener::screen_batched(
-    const StreamFamily& family, std::uint64_t first_index, std::size_t count,
-    std::size_t max_attempts, const Sink& sink) {
+  const std::size_t nw = sim::packed_words(stages);
+  words_.resize(kBlock * nw);
+  signs_.resize(kBlock * nw);
+  live_.resize(kBlock);
+  bits_.resize(kBlock);
+  raw_.resize(kBlock);
   Outcome out;
-  const std::size_t stages = view_->stages();
-  // Geometric block ramp: start near the expected candidate demand of a
-  // small quota, grow toward options_.block. Purely a cost knob — candidate
-  // j's bits depend only on its stream index, so the block partition is
-  // invisible in the issued sequence.
-  std::size_t ramp = std::min(options_.block, std::max<std::size_t>(8, 2 * count));
+  // Geometric block ramp: start near the demand of a small quota, grow to
+  // kBlock. Candidate j's bits depend only on its stream index, so the
+  // partition is invisible in the issued sequence.
+  std::size_t ramp = std::min(kBlock, std::max<std::size_t>(64, 2 * count));
+  Challenge challenge;
   while (out.accepted < count && out.tried < max_attempts) {
     const std::size_t want = std::min(ramp, max_attempts - out.tried);
-    ramp = std::min(options_.block, ramp * 2);
-    candidates_.resize(want);
+    ramp = std::min(kBlock, ramp * 2);
+    const std::uint64_t block_first = first_index + out.tried;
     for (std::size_t i = 0; i < want; ++i) {
-      Rng rng = family.stream(first_index + out.tried + i);
-      candidate_into(candidates_[i], stages, rng);
+      Rng rng = family.stream(block_first + i);
+      for (std::size_t w = 0; w < nw; ++w) words_[i * nw + w] = rng.next_u64();
     }
-    block_.assign(candidates_);
-    raw_.resize(want * n_pufs_);
-    // One register-blocked weight product per tile; each output cell is the
-    // same ascending-index dot as the serial walk (sim/linear contract).
-    parallel_for(want, kEvalRowChunk,
-                 [&](std::size_t begin, std::size_t end, std::size_t) {
-                   chip_view_.delay_differences_into(block_, begin, end,
-                                                     raw_.data() + begin * n_pufs_);
-                 });
-    for (std::size_t i = 0; i < want && out.accepted < count; ++i) {
-      ++out.tried;
-      const double* row = raw_.data() + i * n_pufs_;
-      bool stable = true;
-      for (std::size_t p = 0; p < n_pufs_ && stable; ++p)
-        stable = thresholds_[p].classify(row[p]) != StableClass::kUnstable;
-      if (!stable) continue;
+    const std::size_t survivors = cascade(want);
+    std::size_t examined = want;
+    for (std::size_t j = 0; j < survivors; ++j) {
+      const std::size_t row = live_[j];
       ++out.stable;
-      bool bit = false;
-      for (std::size_t p = 0; p < n_pufs_; ++p) bit ^= row[p] > 0.5;
-      if (sink(std::move(candidates_[i]), bit)) ++out.accepted;
+      sim::challenge_from_words(words_.data() + row * nw, stages, challenge);
+      if (sink(std::move(challenge), bits_[j] != 0) && ++out.accepted == count) {
+        examined = row + 1;
+        break;
+      }
     }
+    out.tried += examined;
   }
   out.filled = out.accepted >= count;
+  out.next_index = first_index + out.tried;
   return out;
 }
 

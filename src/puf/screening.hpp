@@ -1,22 +1,31 @@
-// Batched stable-challenge screening — the authentication hot-path core.
+// Stable-challenge screening — the authentication hot-path core.
 //
 // The paper's issuance is rejection sampling: draw random challenges, keep
 // those predicted stable on ALL n PUFs (acceptance ~0.800^n, ~10.7% at
-// n = 10). ChallengeScreener runs that walk either serially (the reference)
-// or in blocks through sim::FeatureBlock + the ChipLinearView tile kernels
-// (one Phi build + one register-blocked weight product per block), with a
-// determinism contract that makes the two modes — and any block size or
-// thread count — bit-invisible:
+// n = 10; about 1% with the deployment betas 0.9/1.1). ChallengeScreener
+// runs that walk on one kernel, the packed sign-flip cascade of
+// sim/linear.hpp, on the calling thread:
+//
+//   - a block of candidates stays packed, one 64-bit word per 64 stages;
+//   - their parity signs come from one suffix-XOR scan per word;
+//   - PUF 0 is evaluated on the whole block, the candidates it calls
+//     stable are compacted and passed to PUF 1, and so on, so a candidate
+//     rejected early costs no further dots;
+//   - only accepted candidates are unpacked into Challenge.
+//
+// Every raw prediction is bit-identical to feature_fill + the ascending
+// dot, so decisions, expected bits and every Outcome field equal the serial
+// reference walk (puf/screening_reference.hpp, tests and benches only).
+// The determinism contract behind that:
 //
 //   candidate j of a screening walk is a pure function of (family, j): its
 //   challenge bits come from StreamFamily::stream(first_index + j) alone.
 //
-// So the issued-challenge sequence, the expected-response bits, and the
-// exact candidates_tried count are identical across serial/batched modes,
-// block sizes, and thread counts; and a screening walk consumes NOTHING
-// from the caller's RNG beyond the one fork_base() draw that seeded the
-// family. The walk is resumable: Outcome::next_index is the index the next
-// refill continues from (the pool cursor persisted in POOL records).
+// So the block partition is invisible in the issued sequence, and a
+// screening walk consumes NOTHING from the caller's RNG beyond the one
+// fork_base() draw that seeded the family. The walk is resumable:
+// Outcome::next_index is the index the next refill continues from (the
+// pool cursor persisted in POOL records).
 #pragma once
 
 #include <cstdint>
@@ -27,15 +36,6 @@
 #include "sim/linear.hpp"
 
 namespace xpuf::puf {
-
-struct ScreeningOptions {
-  /// Max candidates evaluated per block in batched mode. Any value >= 1
-  /// yields the identical issued sequence; it only trades GEMM amortization
-  /// against wasted tail evaluations past the quota.
-  std::size_t block = 256;
-  /// false = the serial per-candidate reference walk (bench A/B + tests).
-  bool batched = true;
-};
 
 class ChallengeScreener {
  public:
@@ -55,38 +55,34 @@ class ChallengeScreener {
 
   /// Screens the first `n_pufs` PUFs of `view`; the view must outlive the
   /// screener.
-  ChallengeScreener(const ModelView& view, std::size_t n_pufs,
-                    ScreeningOptions options = {});
+  ChallengeScreener(const ModelView& view, std::size_t n_pufs);
 
   /// Walks candidates first_index, first_index + 1, ... until `count` were
   /// accepted by the sink or `tried` reached max_attempts.
   Outcome screen(const StreamFamily& family, std::uint64_t first_index,
                  std::size_t count, std::size_t max_attempts, const Sink& sink);
 
-  /// The candidate generator both modes share: stage bits drawn 64 per
-  /// next_u64() word (LSB-first). Faster than per-bit bernoulli and equally
-  /// uniform; the per-candidate stream makes the draw count per candidate
-  /// irrelevant to every other candidate.
+  /// The candidate generator: stage bits drawn 64 per next_u64() word
+  /// (LSB-first). The screener draws the same words and keeps them packed.
   static void candidate_into(Challenge& out, std::size_t stages, Rng& rng);
 
-  const ScreeningOptions& options() const { return options_; }
-
  private:
-  Outcome screen_serial(const StreamFamily& family, std::uint64_t first_index,
-                        std::size_t count, std::size_t max_attempts, const Sink& sink);
-  Outcome screen_batched(const StreamFamily& family, std::uint64_t first_index,
-                         std::size_t count, std::size_t max_attempts, const Sink& sink);
+  /// Runs the PUF cascade over the first `n` candidates of the block; leaves
+  /// the survivors' block rows (ascending) in live_ and their expected bits
+  /// in bits_, and returns how many survived.
+  std::size_t cascade(std::size_t n);
 
   const ModelView* view_;
   std::size_t n_pufs_;
-  ScreeningOptions options_;
   std::vector<ThresholdPair> thresholds_;  ///< beta-adjusted, derived once
-  sim::ChipLinearView chip_view_;          ///< stacked weights for the tile kernels
-  // Reused batch storage: challenge rows, their Phi block, and the raw
-  // prediction tile (block rows x n_pufs) — allocated on the first block,
-  // refilled in place after.
-  std::vector<Challenge> candidates_;
-  sim::FeatureBlock block_;
+  // Block storage, sized on the first block and reused: packed challenge
+  // words (candidate-major), their parity-sign planes (word-major,
+  // compacted in place as the cascade rejects), surviving rows, partial
+  // expected bits and one PUF's raw predictions.
+  std::vector<std::uint64_t> words_;
+  std::vector<std::uint64_t> signs_;
+  std::vector<std::uint32_t> live_;
+  std::vector<std::uint8_t> bits_;
   std::vector<double> raw_;
 };
 

@@ -44,9 +44,8 @@ MeasuredCandidate measure_candidate(const sim::XorPufChip& chip, const Challenge
 
 }  // namespace
 
-ModelBasedSelector::ModelBasedSelector(const ServerModel& model, std::size_t n_pufs,
-                                       ScreeningOptions options)
-    : model_(&model), n_pufs_(n_pufs), options_(options) {
+ModelBasedSelector::ModelBasedSelector(const ServerModel& model, std::size_t n_pufs)
+    : model_(&model), n_pufs_(n_pufs) {
   XPUF_REQUIRE(n_pufs >= 1 && n_pufs <= model.puf_count(),
                "selector n_pufs out of range");
 }
@@ -59,12 +58,12 @@ SelectionResult ModelBasedSelector::select(std::size_t count, Rng& rng,
   XPUF_TRACE_SPAN("selection.select");
   SelectionResult result;
   // The walk is keyed off ONE draw from the caller's stream: candidate j is
-  // a pure function of (family, j), so block size, batched-vs-serial mode,
-  // and thread count are all invisible in the issued sequence AND in the
-  // caller's RNG consumption (see puf/screening.hpp).
+  // a pure function of (family, j), so the screener's block partition is
+  // invisible in the issued sequence AND in the caller's RNG consumption
+  // (see puf/screening.hpp).
   const StreamFamily family(rng.fork_base());
   const ModelView view = ModelView::of(*model_);
-  ChallengeScreener screener(view, n_pufs_, options_);
+  ChallengeScreener screener(view, n_pufs_);
   const ChallengeScreener::Outcome outcome =
       screener.screen(family, 0, count, max_attempts, [&](Challenge&& c, bool bit) {
         result.challenges.push_back(std::move(c));

@@ -38,10 +38,7 @@ struct SelectionResult {
 class ModelBasedSelector {
  public:
   /// Uses the first `n_pufs` enrolled PUFs (the XOR width under test).
-  /// `options` tunes the screening walk (block size, batched vs the serial
-  /// reference) without changing the issued sequence.
-  ModelBasedSelector(const ServerModel& model, std::size_t n_pufs,
-                     ScreeningOptions options = {});
+  ModelBasedSelector(const ServerModel& model, std::size_t n_pufs);
 
   /// Draws random challenges until `count` stable ones are found or
   /// `max_attempts` candidates were tried. Consumes exactly one fork_base()
@@ -55,7 +52,6 @@ class ModelBasedSelector {
  private:
   const ServerModel* model_;
   std::size_t n_pufs_;
-  ScreeningOptions options_;
 };
 
 class MeasurementBasedSelector {

@@ -5,7 +5,8 @@
 // the page cache — no pread, no record decode, no ServerModel allocation.
 // The mapping is length-frozen at creation: records appended after the map
 // was taken lie beyond size() and are served through the pread+decode
-// fallback until the next remap (compaction remaps every shard).
+// fallback until the next remap (open and compaction map every shard, and
+// a registration into a mapped shard remaps it).
 //
 // Lifetime: the store holds each shard's mapping as a shared_ptr and every
 // handed-out view copies that shared_ptr as its owner, so compaction can

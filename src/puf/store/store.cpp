@@ -224,6 +224,12 @@ void EnrollmentStore::register_device(ServerModel model) {
   index_[id] = DeviceRecord{k, end - record_len, record_len,
                             static_cast<std::uint32_t>(model.puf_count()),
                             static_cast<std::uint32_t>(model.stages())};
+  // A mapped shard stays fully mapped: extend its mapping over the new
+  // (flushed) REGISTER record, so a device registered after open or
+  // compaction is served zero-copy like the rest of the shard instead of
+  // falling back to decode once the LRU evicts it. A shard never mapped
+  // (a store created empty) keeps serving through the decode path.
+  if (maps_[k] != nullptr) remap_shard(k);
   ledgers_[id];
   auto shared = std::make_shared<const ServerModel>(std::move(model));
   {

@@ -21,7 +21,9 @@
 // The model_view() path goes further: a cache miss whose REGISTER record
 // lies inside the shard's read-only mapping is served zero-copy straight
 // from the page cache (db.mmap_hits / db.mmap_bytes) — crc-checked per
-// view, no decode, no allocation, flat RSS at any fleet size.
+// view, no decode, no allocation, flat RSS at any fleet size. Open and
+// compaction map every shard; registering into a mapped shard extends its
+// mapping over the new record.
 //
 // Concurrency contract mirrors ServerDatabase: model()/model_view()/
 // ledger()/record_issued() and the pool accessors (record_pool /

@@ -1,5 +1,8 @@
 #include "sim/linear.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #if defined(__AVX2__)
 #include <immintrin.h>
 #endif
@@ -327,6 +330,111 @@ void ChipLinearView::one_probabilities_into(const FeatureBlock& block, std::size
   for (std::size_t r = 0; r < end - begin; ++r)
     for (std::size_t p = 0; p < n; ++p) out[r * n + p] /= noise_sigmas_[p];
   normal_cdf_batch({out, total}, {out, total});
+}
+
+void challenge_from_words(const std::uint64_t* words, std::size_t stages, Challenge& out) {
+  XPUF_REQUIRE(stages >= 1, "a challenge needs at least one stage");
+  out.resize(stages);
+  for (std::size_t j = 0; j < stages; ++j)
+    out[j] = static_cast<std::uint8_t>((words[j / 64] >> (j % 64)) & 1u);
+}
+
+void parity_signs(const std::uint64_t* words, std::size_t stages, std::size_t n,
+                  std::uint64_t* signs, std::size_t stride) {
+  XPUF_REQUIRE(stages >= 1, "a challenge needs at least one stage");
+  XPUF_REQUIRE(stride >= n, "sign planes narrower than the candidate count");
+  const std::size_t nw = packed_words(stages);
+  const std::size_t top_bits = stages - 64 * (nw - 1);
+  const std::uint64_t top_mask = top_bits == 64 ? ~0ull : (1ull << top_bits) - 1;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t* c = words + j * nw;
+    // Scan from the top word down; `carry` is the parity of every stage
+    // above the current word, which flips all of its signs.
+    std::uint64_t carry = 0;
+    for (std::size_t w = nw; w-- > 0;) {
+      const std::uint64_t mask = w + 1 == nw ? top_mask : ~0ull;
+      std::uint64_t s = c[w] & mask;
+      s ^= s >> 1;
+      s ^= s >> 2;
+      s ^= s >> 4;
+      s ^= s >> 8;
+      s ^= s >> 16;
+      s ^= s >> 32;
+      s ^= mask & (0 - carry);
+      signs[w * stride + j] = s;
+      carry = s & 1u;
+    }
+  }
+}
+
+namespace {
+
+/// Portable sign-flip dots over candidates [begin, end).
+void sign_flip_dots_portable(const std::uint64_t* signs, std::size_t stride,
+                             std::size_t begin, std::size_t end, const double* w,
+                             std::size_t stages, double* out) {
+  for (std::size_t j = begin; j < end; ++j) {
+    double acc = 0.0;
+    for (std::size_t base = 0; base < stages; base += 64) {
+      std::uint64_t s = signs[(base / 64) * stride + j];
+      const std::size_t bits = std::min<std::size_t>(64, stages - base);
+      for (std::size_t i = 0; i < bits; ++i, s >>= 1)
+        acc += std::bit_cast<double>(std::bit_cast<std::uint64_t>(w[base + i]) ^ (s << 63));
+    }
+    out[j] = acc + w[stages];
+  }
+}
+
+#if defined(__AVX2__)
+
+/// G four-lane groups of candidates starting at j: lane l of group g holds
+/// candidate j + 4g + l, whose sign word shifts right one stage at a time
+/// so its current bit lands in the lane's sign bit. vxorpd flips exactly
+/// that bit and vaddpd is one IEEE add per lane, so every lane repeats the
+/// portable loop's operation sequence; G independent add chains hide the
+/// add latency.
+template <std::size_t G>
+inline void sign_flip_groups(const std::uint64_t* signs, std::size_t stride, std::size_t j,
+                             const double* w, std::size_t stages, double* out) {
+  __m256d acc[G];
+  for (std::size_t g = 0; g < G; ++g) acc[g] = _mm256_setzero_pd();
+  for (std::size_t base = 0; base < stages; base += 64) {
+    const std::uint64_t* plane = signs + (base / 64) * stride + j;
+    __m256i s[G];
+    for (std::size_t g = 0; g < G; ++g)
+      s[g] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plane + 4 * g));
+    const std::size_t bits = std::min<std::size_t>(64, stages - base);
+    const double* wb = w + base;
+    for (std::size_t i = 0; i < bits; ++i) {
+      const __m256d wi = _mm256_broadcast_sd(wb + i);
+      for (std::size_t g = 0; g < G; ++g) {
+        const __m256d sign = _mm256_castsi256_pd(_mm256_slli_epi64(s[g], 63));
+        acc[g] = _mm256_add_pd(acc[g], _mm256_xor_pd(wi, sign));
+        s[g] = _mm256_srli_epi64(s[g], 1);
+      }
+    }
+  }
+  const __m256d bias = _mm256_broadcast_sd(w + stages);
+  for (std::size_t g = 0; g < G; ++g)
+    _mm256_storeu_pd(out + j + 4 * g, _mm256_add_pd(acc[g], bias));
+}
+
+#endif  // __AVX2__
+
+}  // namespace
+
+void sign_flip_dots(const std::uint64_t* signs, std::size_t stride, std::size_t n,
+                    std::span<const double> weights, double* out) {
+  XPUF_REQUIRE(weights.size() >= 2, "sign_flip_dots needs stages + 1 >= 2 weights");
+  XPUF_REQUIRE(stride >= n, "sign planes narrower than the candidate count");
+  const std::size_t stages = weights.size() - 1;
+  const double* w = weights.data();
+  std::size_t j = 0;
+#if defined(__AVX2__)
+  for (; j + 16 <= n; j += 16) sign_flip_groups<4>(signs, stride, j, w, stages, out);
+  for (; j + 4 <= n; j += 4) sign_flip_groups<1>(signs, stride, j, w, stages, out);
+#endif
+  sign_flip_dots_portable(signs, stride, j, n, w, stages, out);
 }
 
 }  // namespace xpuf::sim

@@ -22,9 +22,23 @@
 //
 // A linear view is a snapshot: it does NOT track later ArbiterPufDevice::age
 // calls or environment changes. Rebuild it per (Environment, aging) state.
+//
+// The packed sign-flip kernel at the end of this header is the screening
+// core. It never materializes Phi, resting on three exact identities of the
+// additive model:
+//
+//  - a challenge is ceil(k / 64) 64-bit words, stage j in bit j % 64 of
+//    word j / 64 (LSB-first);
+//  - phi_i = (-1)^(c_i ^ ... ^ c_{k-1}), so the sign bits of Phi are a
+//    suffix-XOR scan of those words, with the parity of higher words
+//    carried into lower ones;
+//  - phi_i * w_i is w_i with its sign bit flipped, which is exact, so
+//    0.0 + (+-w_0) + ... + (+-w_{k-1}) + w_k summed in ascending order is
+//    bit-identical to feature_fill followed by the ascending dot.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -139,5 +153,30 @@ class ChipLinearView {
                                      // four-lane stride, for the tile kernels
   std::vector<double> noise_sigmas_; // per-PUF sigma at the snapshot corner
 };
+
+/// 64-bit words per packed challenge of `stages` stages.
+constexpr std::size_t packed_words(std::size_t stages) { return (stages + 63) / 64; }
+
+/// Unpacks one packed challenge (packed_words(stages) words, LSB-first)
+/// into one byte per stage.
+void challenge_from_words(const std::uint64_t* words, std::size_t stages, Challenge& out);
+
+/// Parity-sign scan of `n` packed challenges stored candidate-major
+/// (candidate j at words + j * packed_words(stages)). Bit i of sign word w
+/// is set iff phi_{64w+i} = -1; bits at or past `stages` are ignored on
+/// input and cleared on output. Writes word w of candidate j to
+/// signs[w * stride + j], the word-major layout sign_flip_dots reads.
+void parity_signs(const std::uint64_t* words, std::size_t stages, std::size_t n,
+                  std::uint64_t* signs, std::size_t stride);
+
+/// Raw additive-model predictions of one PUF for `n` candidates given as
+/// parity-sign planes (word w of candidate j at signs[w * stride + j]):
+/// out[j] = 0.0 + sum_{i<k} (sign_i ? -w_i : w_i) + w_k, summed in
+/// ascending i, with k = weights.size() - 1 stages. Bit-identical to
+/// feature_fill + DeviceLinearView::delay. AVX2 builds run four candidates
+/// per vector, one lane each, in the same per-element add order as the
+/// portable loop.
+void sign_flip_dots(const std::uint64_t* signs, std::size_t stride, std::size_t n,
+                    std::span<const double> weights, double* out);
 
 }  // namespace xpuf::sim

@@ -32,7 +32,7 @@ class DatabaseTest : public ::testing::Test {
 
   static DatabaseConfig config() {
     return DatabaseConfig{
-        .n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}};
+        .n_pufs = kNPufs, .policy = {.challenge_count = 16}, .pool = {}};
   }
 
   static std::string temp_dir(const std::string& tag) {

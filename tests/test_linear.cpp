@@ -2,11 +2,16 @@
 // (sim/linear.hpp): FeatureBlock rows must equal the transform's feature
 // vectors, the full-batch GEMM products must be bit-identical to the tile
 // kernels and to scalar linear-view evaluation across every paper corner,
-// aged devices, and 1/2/8 threads — and the batched ChipTester/selector
-// paths must reproduce their scalar-mode outputs byte for byte.
+// aged devices, and 1/2/8 threads; the packed sign-flip screening kernel
+// must equal feature_fill + the ascending dot bit for bit — and the batched
+// ChipTester/selector paths must reproduce their scalar-mode outputs byte
+// for byte.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -16,6 +21,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "puf/enrollment.hpp"
+#include "puf/screening.hpp"
 #include "puf/selection.hpp"
 #include "puf/transform.hpp"
 #include "sim/linear.hpp"
@@ -197,6 +203,60 @@ ScanOutputs run_scans(sim::ScanMode mode, const sim::Environment& env) {
   for (const auto& m : tester.scan_xor(pop.chip(0), challenges))
     out.xor_soft.push_back(m.soft_response());
   return out;
+}
+
+// The packed sign-flip kernel against feature_fill + the ascending dot, bit
+// for bit: sub-word, one-word and multi-word stage counts (parity carries
+// across words), candidate counts that leave every vector-group tail, and
+// stage words with garbage above the last stage (it must be ignored).
+TEST(PackedKernel, SignFlipDotsAreBitIdenticalToTheFeatureDot) {
+  Rng rng(606);
+  for (const std::size_t stages : {1ul, 7ul, 63ul, 64ul, 65ul, 127ul, 128ul, 130ul}) {
+    const std::size_t nw = sim::packed_words(stages);
+    std::vector<double> w(stages + 1);
+    for (double& x : w) x = rng.normal();
+    w[0] = -0.0;
+    w[stages / 2] = 0.0;
+    for (const std::size_t n : {0ul, 1ul, 3ul, 4ul, 5ul, 15ul, 16ul, 17ul, 37ul}) {
+      SCOPED_TRACE("stages=" + std::to_string(stages) + " n=" + std::to_string(n));
+      std::vector<std::uint64_t> words(n * nw);
+      for (auto& x : words) x = rng.next_u64();
+      const std::size_t stride = n + 3;
+      std::vector<std::uint64_t> signs(nw * stride);
+      sim::parity_signs(words.data(), stages, n, signs.data(), stride);
+      std::vector<double> out(n);
+      sim::sign_flip_dots(signs.data(), stride, n, w, out.data());
+      std::vector<double> phi(stages + 1);
+      for (std::size_t j = 0; j < n; ++j) {
+        sim::Challenge c;
+        sim::challenge_from_words(words.data() + j * nw, stages, c);
+        ASSERT_EQ(c.size(), stages);
+        sim::feature_fill(c, phi.data());
+        double acc = 0.0;
+        for (std::size_t k = 0; k <= stages; ++k) acc += phi[k] * w[k];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[j]), std::bit_cast<std::uint64_t>(acc))
+            << "candidate " << j << ": " << out[j] << " vs " << acc;
+        // Sign bits at or past `stages` are cleared.
+        if (stages % 64 != 0) {
+          EXPECT_EQ(signs[(nw - 1) * stride + j] >> (stages % 64), 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedKernel, UnpackedWordsAreTheCandidateGeneratorsChallenge) {
+  for (const std::size_t stages : {1ul, 32ul, 64ul, 65ul, 128ul}) {
+    Rng a(stages);
+    Rng b(stages);
+    sim::Challenge drawn;
+    puf::ChallengeScreener::candidate_into(drawn, stages, a);
+    std::vector<std::uint64_t> words(sim::packed_words(stages));
+    for (auto& x : words) x = b.next_u64();
+    sim::Challenge unpacked;
+    sim::challenge_from_words(words.data(), stages, unpacked);
+    EXPECT_EQ(drawn, unpacked) << "stages " << stages;
+  }
 }
 
 TEST(ScanModes, BatchedMatchesScalarByteForByteAcrossCornersAndThreads) {

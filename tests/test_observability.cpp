@@ -230,7 +230,7 @@ TEST(ObservabilityIntegration, DatabaseCountersMatchOutcomeFields) {
   puf::ServerModel m = puf::Enroller(ecfg).enroll(pop.chip(0), rng);
   m.set_betas(puf::BetaFactors{0.85, 1.15});
   puf::ServerDatabase db(
-      puf::DatabaseConfig{.n_pufs = 3, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
+      puf::DatabaseConfig{.n_pufs = 3, .policy = {.challenge_count = 16}, .pool = {}});
   db.register_device(std::move(m));
 
   auto& registry = MetricsRegistry::global();
@@ -334,7 +334,7 @@ TEST(ObservabilityIntegration, UnknownDeviceRequestsAreCounted) {
   puf::ServerModel m = puf::Enroller(ecfg).enroll(pop.chip(0), rng);
   m.set_betas(puf::BetaFactors{0.85, 1.15});
   puf::ServerDatabase db(
-      puf::DatabaseConfig{.n_pufs = 3, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
+      puf::DatabaseConfig{.n_pufs = 3, .policy = {.challenge_count = 16}, .pool = {}});
   db.register_device(std::move(m));
 
   auto& registry = MetricsRegistry::global();
@@ -412,7 +412,7 @@ TEST(ObservabilityIntegration, ConcurrentDatabaseUseKeepsCountersExact) {
   for (const std::size_t threads : kThreadGrid) {
     ThreadPool::set_global_threads(threads);
     puf::ServerDatabase db(
-        puf::DatabaseConfig{.n_pufs = 3, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
+        puf::DatabaseConfig{.n_pufs = 3, .policy = {.challenge_count = 16}, .pool = {}});
     // register/revoke need exclusive access: enroll + register serially...
     Rng enroll_rng(808);
     for (std::size_t i = 0; i < kDevices; ++i) {

@@ -1,8 +1,9 @@
-// Tests for the authentication hot path: the batched stable-challenge
-// screener's bit-exactness contract (any block size x any thread count ==
-// the serial reference walk), per-device issuance pools (drain, low-water
-// refill, live fallback, crash re-drain), the POOL record's crash safety at
-// every truncation point, and zero-copy mapped model serving.
+// Tests for the authentication hot path: the packed screening kernel's
+// bit-exactness contract (== the serial reference walk at every stage
+// count, XOR width, sink verdict and resume point, plus a golden sequence),
+// per-device issuance pools (drain, low-water refill, live fallback, crash
+// re-drain, failed-issue ledger rollback), the POOL record's crash safety
+// at every truncation point, and zero-copy mapped model serving.
 
 // GCC 12's value-range propagation mis-models std::less<vector<uint8_t>> when
 // set::insert inlines memcmp in Release and reports an impossible bound
@@ -14,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "puf/database.hpp"
 #include "puf/enrollment.hpp"
 #include "puf/screening.hpp"
+#include "puf/screening_reference.hpp"
 #include "puf/store/record.hpp"
 #include "puf/store/store.hpp"
 #include "sim/population.hpp"
@@ -91,16 +95,28 @@ struct Walk {
   ChallengeScreener::Outcome out;
 };
 
-Walk run_walk(const ModelView& view, ScreeningOptions opts, std::uint64_t family_base,
-              std::uint64_t first, std::size_t count, std::size_t max_attempts) {
-  ChallengeScreener screener(view, 3, opts);
+/// One screening walk through the packed kernel (reference = false) or the
+/// serial reference walk, recording everything the sink sees. `keep` is
+/// the sink's verdict for the i-th stable candidate (accept-all default).
+Walk run_walk(const ModelView& view, std::size_t n_pufs, bool reference,
+              std::uint64_t family_base, std::uint64_t first, std::size_t count,
+              std::size_t max_attempts,
+              const std::function<bool(std::size_t)>& keep = nullptr) {
   Walk w;
-  w.out = screener.screen(StreamFamily(family_base), first, count, max_attempts,
-                          [&](Challenge&& c, bool bit) {
-                            w.challenges.push_back(std::move(c));
-                            w.bits.push_back(bit);
-                            return true;
-                          });
+  std::size_t seen = 0;
+  const ChallengeScreener::Sink sink = [&](Challenge&& c, bool bit) {
+    if (keep && !keep(seen++)) return false;
+    w.challenges.push_back(std::move(c));
+    w.bits.push_back(bit);
+    return true;
+  };
+  const StreamFamily family(family_base);
+  if (reference) {
+    w.out = screen_reference(view, n_pufs, family, first, count, max_attempts, sink);
+  } else {
+    ChallengeScreener screener(view, n_pufs);
+    w.out = screener.screen(family, first, count, max_attempts, sink);
+  }
   return w;
 }
 
@@ -119,42 +135,132 @@ void expect_batches_identical(const ChallengeBatch& a, const ChallengeBatch& b) 
   EXPECT_EQ(a.expected, b.expected);
 }
 
-// --- batched screening bit-exactness ----------------------------------------
+/// Owns the weight rows a from_parts ModelView points into.
+struct HandModel {
+  std::vector<std::vector<double>> weights;
+  std::vector<ThresholdPair> thresholds;
 
-TEST(ScreeningEquivalence, BatchedMatchesSerialAtEveryBlockSizeAndThreadCount) {
+  ModelView view() const {
+    std::vector<const double*> rows;
+    for (const auto& w : weights) rows.push_back(w.data());
+    return ModelView::from_parts(0, static_cast<std::uint32_t>(weights.front().size() - 1),
+                                 BetaFactors{1.0, 1.0}, std::move(rows), thresholds,
+                                 nullptr);
+  }
+};
+
+/// `width` PUFs of `stages` stages with Gaussian weights and an unstable
+/// band of +-0.15 sigma of the raw prediction around a jittered center, so
+/// each PUF rejects about one candidate in eight and the cascade rejects
+/// at every depth while even 13 PUFs keep some.
+HandModel random_model(std::size_t stages, std::size_t width, std::uint64_t seed) {
+  HandModel m;
+  Rng rng(seed);
+  const double sigma = std::sqrt(static_cast<double>(stages + 1));
+  for (std::size_t p = 0; p < width; ++p) {
+    std::vector<double> w(stages + 1);
+    for (double& x : w) x = rng.normal();
+    m.weights.push_back(std::move(w));
+    const double center = 0.1 * rng.normal();
+    m.thresholds.push_back({center - 0.15 * sigma, center + 0.15 * sigma});
+  }
+  return m;
+}
+
+// --- packed kernel vs the reference walk -------------------------------------
+
+TEST(ScreeningEquivalence, KernelMatchesReferenceAtEveryThreadCount) {
   const ServerModel model = enroll_model();
   const ModelView view = ModelView::of(model);
   const std::uint64_t base = 0xdecafbadULL;
-  const Walk ref =
-      run_walk(view, {.block = 256, .batched = false}, base, 0, 24, 1'000'000);
+  const Walk ref = run_walk(view, 3, /*reference=*/true, base, 0, 24, 1'000'000);
   ASSERT_TRUE(ref.out.filled);
   ASSERT_EQ(ref.out.accepted, 24u);
   // Rejection sampling really rejected something, or the model is degenerate
   // and the equivalence below is vacuous.
   ASSERT_GT(ref.out.tried, ref.out.accepted);
-
-  const std::size_t kBlocks[] = {1, 64, 1024};
-  const std::size_t kThreads[] = {1, 2, 8};
-  for (const std::size_t block : kBlocks) {
-    for (const std::size_t threads : kThreads) {
-      ThreadPool::set_global_threads(threads);
-      const Walk got =
-          run_walk(view, {.block = block, .batched = true}, base, 0, 24, 1'000'000);
-      SCOPED_TRACE("block=" + std::to_string(block) +
-                   " threads=" + std::to_string(threads));
-      expect_walks_identical(ref, got);
-    }
+  // The kernel runs on the calling thread; the pool size must not matter.
+  for (const std::size_t threads : {1ul, 2ul, 8ul}) {
+    ThreadPool::set_global_threads(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_walks_identical(ref, run_walk(view, 3, false, base, 0, 24, 1'000'000));
   }
   ThreadPool::set_global_threads(0);
+}
+
+TEST(ScreeningEquivalence, KernelMatchesReferenceAcrossStageCountsAndWidths) {
+  // 1..128 stages cover sub-word, exactly-one-word and multi-word challenges
+  // (the parity carries across words); widths up to 13 exceed the paper's.
+  for (const std::size_t stages : {1ul, 8ul, 13ul, 32ul, 63ul, 64ul, 65ul, 128ul}) {
+    for (const std::size_t width : {1ul, 3ul, 10ul, 13ul}) {
+      const HandModel m = random_model(stages, width, 1000 * stages + width);
+      const ModelView view = m.view();
+      SCOPED_TRACE("stages=" + std::to_string(stages) + " width=" + std::to_string(width));
+      // An odd attempt cap leaves a partial last block.
+      const Walk ref = run_walk(view, width, true, stages, 0, 40, 20'001);
+      if (stages >= 8) {
+        // Both verdicts occur, or the comparison below is vacuous (one
+        // stage has only two distinct predictions per PUF).
+        ASSERT_GT(ref.out.tried, ref.out.stable);
+        ASSERT_GT(ref.out.stable, 0u);
+      }
+      expect_walks_identical(ref, run_walk(view, width, false, stages, 0, 40, 20'001));
+    }
+  }
+}
+
+TEST(ScreeningEquivalence, ThresholdTiesAreUnstableInBothWalks) {
+  // Weights 0.25 with bias 0.5 make every raw prediction an exact multiple
+  // of 0.25 (0.5 + 0.25 * (plus signs - minus signs)), so many candidates
+  // land exactly on thr0 = 0 or thr1 = 1; classify compares strictly and
+  // must reject them in the kernel exactly as in the reference walk.
+  constexpr std::size_t kStages = 8;
+  HandModel m;
+  m.weights.assign(2, std::vector<double>(kStages + 1, 0.25));
+  m.weights[0][kStages] = 0.5;
+  m.weights[1][kStages] = 0.75;
+  // PUF 1 ties where PUF 0 is stable (two or six minus signs), so the
+  // cascade really hands it tied candidates.
+  m.thresholds = {{0.0, 1.0}, {-0.25, 1.75}};
+  const ModelView view = m.view();
+  const Walk ref = run_walk(view, 2, true, 4242, 0, 30, 10'000);
+  expect_walks_identical(ref, run_walk(view, 2, false, 4242, 0, 30, 10'000));
+
+  std::size_t ties = 0;
+  std::vector<double> phi(kStages + 1);
+  for (std::uint64_t j = 0; j < ref.out.tried; ++j) {
+    Rng rng = StreamFamily(4242).stream(j);
+    Challenge c;
+    ChallengeScreener::candidate_into(c, kStages, rng);
+    sim::feature_fill(c, phi.data());
+    for (std::size_t p = 0; p < 2; ++p) {
+      double raw = 0.0;
+      for (std::size_t k = 0; k <= kStages; ++k) raw += phi[k] * m.weights[p][k];
+      ties += raw == m.thresholds[p].thr0 || raw == m.thresholds[p].thr1;
+    }
+  }
+  EXPECT_GT(ties, 10u) << "the walk never hit a threshold exactly";
+  for (const Challenge& c : ref.challenges) {
+    sim::feature_fill(c, phi.data());
+    for (std::size_t p = 0; p < 2; ++p) {
+      double raw = 0.0;
+      for (std::size_t k = 0; k <= kStages; ++k) raw += phi[k] * m.weights[p][k];
+      EXPECT_TRUE(raw < m.thresholds[p].thr0 || raw > m.thresholds[p].thr1)
+          << "PUF " << p << " accepted a tie: raw " << raw;
+    }
+  }
 }
 
 TEST(ScreeningEquivalence, WalkResumesFromNextIndexWithoutSeams) {
   const ServerModel model = enroll_model();
   const ModelView view = ModelView::of(model);
   const std::uint64_t base = 77;
-  const Walk whole = run_walk(view, {}, base, 0, 24, 1'000'000);
-  Walk head = run_walk(view, {}, base, 0, 10, 1'000'000);
-  const Walk tail = run_walk(view, {}, base, head.out.next_index, 14, 1'000'000);
+  const Walk whole = run_walk(view, 3, false, base, 0, 24, 1'000'000);
+  Walk head = run_walk(view, 3, false, base, 0, 10, 1'000'000);
+  const Walk tail = run_walk(view, 3, false, base, head.out.next_index, 14, 1'000'000);
+  // The resumed walk is the reference's resumed walk too.
+  expect_walks_identical(
+      run_walk(view, 3, true, base, head.out.next_index, 14, 1'000'000), tail);
   head.challenges.insert(head.challenges.end(), tail.challenges.begin(),
                          tail.challenges.end());
   head.bits.insert(head.bits.end(), tail.bits.begin(), tail.bits.end());
@@ -168,27 +274,14 @@ TEST(ScreeningEquivalence, SinkRejectionKeepsModesAligned) {
   const ServerModel model = enroll_model();
   const ModelView view = ModelView::of(model);
   // A sink that rejects every other stable candidate (the replay-ledger
-  // shape) must leave both modes walking the identical candidate sequence.
-  const auto run = [&](bool batched) {
-    ChallengeScreener s(view, 3, {.block = 64, .batched = batched});
-    Walk w;
-    bool toggle = false;
-    w.out = s.screen(StreamFamily(31337), 0, 12, 1'000'000,
-                     [&](Challenge&& c, bool bit) {
-                       toggle = !toggle;
-                       if (!toggle) return false;
-                       w.challenges.push_back(std::move(c));
-                       w.bits.push_back(bit);
-                       return true;
-                     });
-    return w;
-  };
-  const Walk serial = run(false);
-  const Walk batched = run(true);
-  expect_walks_identical(serial, batched);
-  EXPECT_EQ(serial.out.accepted, 12u);
+  // shape) must leave kernel and reference walking the identical sequence.
+  const auto every_other = [](std::size_t i) { return i % 2 == 0; };
+  const Walk reference = run_walk(view, 3, true, 31337, 0, 12, 1'000'000, every_other);
+  const Walk kernel = run_walk(view, 3, false, 31337, 0, 12, 1'000'000, every_other);
+  expect_walks_identical(reference, kernel);
+  EXPECT_EQ(reference.out.accepted, 12u);
   // accept/reject alternation ending on the 12th accept: 23 stable in total.
-  EXPECT_EQ(serial.out.stable, 23u);
+  EXPECT_EQ(reference.out.stable, 23u);
 }
 
 TEST(ScreeningEquivalence, ScreeningConsumesNothingFromTheCallerRng) {
@@ -198,32 +291,71 @@ TEST(ScreeningEquivalence, ScreeningConsumesNothingFromTheCallerRng) {
   Rng mirror(42);
   const StreamFamily family(used.fork_base());
   (void)mirror.fork_base();
-  (void)run_walk(view, {}, family.base(), 0, 24, 1'000'000);
+  (void)run_walk(view, 3, false, family.base(), 0, 24, 1'000'000);
   // The walk seeded per-candidate streams from the family alone; the caller
   // RNG advanced exactly one fork_base() draw.
   EXPECT_EQ(used.next_u64(), mirror.next_u64());
 }
 
 TEST(ScreeningEquivalence, IssueLiveIsBitIdenticalAcrossScreeningModes) {
-  const DatabaseConfig serial_cfg{
-      .n_pufs = 3,
-      .policy = {.challenge_count = 16},
-      .screening = {.block = 256, .batched = false},
-      .pool = {}};
-  DatabaseConfig batched_cfg = serial_cfg;
-  batched_cfg.screening.batched = true;
-  ServerDatabase serial_db(serial_cfg);
-  ServerDatabase batched_db(batched_cfg);
-  serial_db.register_device(enroll_model());
-  batched_db.register_device(enroll_model());
+  // issue_live (packed kernel) against the reference walk driven the way
+  // fill_live drives it: one fork_base() draw, a replay-ledger sink.
+  ServerDatabase db(DatabaseConfig{.n_pufs = 3, .policy = {.challenge_count = 16}, .pool = {}});
+  const ServerModel model = enroll_model();
+  db.register_device(enroll_model());
+  const ModelView view = ModelView::of(model);
+  std::set<std::string> ledger;
   for (int round = 0; round < 4; ++round) {
-    Rng serial_rng(900 + round);
-    Rng batched_rng(900 + round);
-    const ChallengeBatch a = serial_db.issue_live(0, serial_rng);
-    const ChallengeBatch b = batched_db.issue_live(0, batched_rng);
+    Rng kernel_rng(900 + round);
+    Rng reference_rng(900 + round);
+    const ChallengeBatch a = db.issue_live(0, kernel_rng);
+    ChallengeBatch b;
+    const ChallengeScreener::Outcome out = screen_reference(
+        view, 3, StreamFamily(reference_rng.fork_base()), 0, 16,
+        db.config().policy.max_selection_attempts, [&](Challenge&& c, bool bit) {
+          if (!ledger.insert(store::pack_challenge(c)).second) return false;
+          b.challenges.push_back(std::move(c));
+          b.expected.push_back(bit);
+          return true;
+        });
     SCOPED_TRACE("round " + std::to_string(round));
     expect_batches_identical(a, b);
-    EXPECT_EQ(a.candidates_tried, b.candidates_tried);
+    EXPECT_EQ(a.candidates_tried, out.tried);
+  }
+}
+
+TEST(ScreeningGolden, EnrollModelWalkMatchesTheRecordedSequence) {
+  // Recorded from the serial walk of the release before the packed kernel:
+  // moving the oracle cannot silently change the issued sequence.
+  const char* const kKeys[] = {
+      "04c3bee6", "a1f1fa07", "18b240a0", "9baa7b52", "fb92f669", "39a71655",
+      "8fdcaf5f", "dd8aa3cd", "a0ab44bd", "ea8c15ac", "8ffda675", "3715de82",
+      "e1ccca27", "c7d9af0c", "69d87e2d", "45193f39", "a3c20733", "f375957a",
+      "aa142711", "96c63b0a", "b081193c", "ed6a7824", "d02a687e", "9339eb92",
+      "6f7eb004", "1e27e86b", "3117b1f5", "0d8f11fa", "678a2e26", "9295b3f3",
+      "0899a30f", "e932232a"};
+  const std::string kBits = "11000110001110010111000110111011";
+  const ServerModel model = enroll_model();
+  const ModelView view = ModelView::of(model);
+  for (const bool reference : {false, true}) {
+    SCOPED_TRACE(reference ? "reference walk" : "packed kernel");
+    const Walk w = run_walk(view, 3, reference, 0x601d, 0, 32, 1'000'000);
+    EXPECT_EQ(w.out.tried, 183u);
+    EXPECT_EQ(w.out.stable, 32u);
+    EXPECT_EQ(w.out.next_index, 183u);
+    ASSERT_EQ(w.challenges.size(), 32u);
+    std::string bits;
+    for (std::size_t i = 0; i < w.challenges.size(); ++i) {
+      std::string hex;
+      for (const unsigned char byte : store::pack_challenge(w.challenges[i])) {
+        static const char kDigits[] = "0123456789abcdef";
+        hex += kDigits[byte >> 4];
+        hex += kDigits[byte & 15];
+      }
+      EXPECT_EQ(hex, kKeys[i]) << "challenge " << i;
+      bits += w.bits[i] ? '1' : '0';
+    }
+    EXPECT_EQ(bits, kBits);
   }
 }
 
@@ -232,7 +364,6 @@ TEST(ScreeningEquivalence, IssueLiveIsBitIdenticalAcrossScreeningModes) {
 DatabaseConfig pooled_config(std::size_t target) {
   return DatabaseConfig{.n_pufs = 3,
                         .policy = {.challenge_count = 16},
-                        .screening = {},
                         .pool = {.target = target, .low_water = 8,
                                  .seed = 0x706f6f6c73656564ull}};
 }
@@ -337,6 +468,40 @@ TEST(IssuancePool, DryScreeningBypassesThePoolThenSurfacesExhaustion) {
   EXPECT_EQ(counter_or_zero(after, "auth.pool_refills") -
                 counter_or_zero(before, "auth.pool_refills"),
             3u);
+}
+
+// Regression: a failed issue left its un-sent challenges in the replay
+// ledger. fill_live inserts each accepted key before the batch is complete;
+// when the attempt budget then ran out, NumericalError skipped
+// finish_issue, so the ledger remembered keys no log record held (39 here,
+// and 0 again after a reopen) and in-memory ledgers drifted from
+// db.ledger_size. A 32-stage plain model accepts 39 of the 40 allowed
+// candidates, one short of the 64-challenge batch.
+TEST(IssuancePool, FailedIssueLeavesNoUnsentChallengeInTheLedger) {
+  DatabaseConfig cfg = pooled_config(0);
+  cfg.policy.challenge_count = 64;
+  cfg.policy.max_selection_attempts = 40;
+  {
+    ServerDatabase db(cfg);
+    db.register_device(make_plain_model(0, 32));
+    Rng rng(3);
+    EXPECT_THROW((void)db.issue(0, rng), NumericalError);
+    EXPECT_EQ(db.issued_count(0), 0u);
+  }
+  const std::string dir = unique_dir("failed_issue");
+  fs::remove_all(dir);
+  {
+    ServerDatabase db = ServerDatabase::open(dir, cfg);
+    db.register_device(make_plain_model(0, 32));
+    Rng rng(3);
+    EXPECT_THROW((void)db.issue(0, rng), NumericalError);
+    EXPECT_EQ(db.issued_count(0), 0u);
+  }
+  {
+    ServerDatabase db = ServerDatabase::open(dir, cfg);
+    EXPECT_EQ(db.issued_count(0), 0u);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(IssuancePool, CrashRecoveryRedrainIsScreenedByTheDurableLedger) {
@@ -593,6 +758,41 @@ TEST(MappedServing, ColdModelViewsAreZeroCopyBitExactAndSurviveCompaction) {
     const std::span<const double> want = expect.weights(p);
     for (std::size_t k = 0; k < got.size(); ++k) ASSERT_EQ(got[k], want[k]);
   }
+  fs::remove_all(dir);
+}
+
+// A device registered after the store was opened over a mapped shard is
+// served from the mapping too once the LRU has evicted it; a store created
+// empty has no mapping and keeps serving new devices through decode.
+TEST(MappedServing, DevicesRegisteredIntoAMappedShardAreServedZeroCopy) {
+  const std::string dir = unique_dir("mmap_late_register");
+  fs::remove_all(dir);
+  store::StoreOptions opts;
+  opts.n_shards = 1;
+  opts.cache_capacity = 1;
+  const auto mmap_hits_of = [&](store::EnrollmentStore& s, std::uint64_t id) {
+    const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+    const ModelView view = s.model_view(id);
+    const ServerModel ref = make_plain_model(id, 64);
+    for (std::size_t p = 0; p < view.puf_count(); ++p) {
+      const std::span<const double> got = view.weights(p);
+      const std::span<const double> want = ModelView::of(ref).weights(p);
+      for (std::size_t k = 0; k < got.size(); ++k) EXPECT_EQ(got[k], want[k]);
+    }
+    return counter_or_zero(MetricsRegistry::global().snapshot(), "db.mmap_hits") -
+           counter_or_zero(before, "db.mmap_hits");
+  };
+  {
+    store::EnrollmentStore s = store::EnrollmentStore::open(dir, opts);
+    s.register_device(make_plain_model(0, 64));
+    s.register_device(make_plain_model(1, 64));  // evicts device 0
+    EXPECT_EQ(mmap_hits_of(s, 0), 0u) << "a never-mapped store decodes";
+  }
+  store::EnrollmentStore s = store::EnrollmentStore::open(dir, opts);
+  s.register_device(make_plain_model(2, 64));
+  s.register_device(make_plain_model(3, 64));  // evicts device 2
+  EXPECT_EQ(mmap_hits_of(s, 2), 1u);
+  EXPECT_EQ(mmap_hits_of(s, 0), 1u);
   fs::remove_all(dir);
 }
 

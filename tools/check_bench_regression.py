@@ -10,8 +10,11 @@ or materialized_seconds / streaming_seconds from bench_enroll_throughput)
 
 The default A/B tolerance is parity with 15% slack, not the much larger
 speedup the batched core actually delivers: CI shares one noisy core, and
-a throughput gate that flakes gets deleted. Tighten with --min-speedup
-(e.g. --min-speedup 2.0) on quiet hardware.
+a throughput gate that flakes gets deleted. The screening pair of
+bench_auth_throughput is the exception with its own floor of 3.0: the
+packed kernel measures 5.5-6.3x its reference walk at CI scale, so
+parity would not notice losing most of the gain. Tighten every pair with
+--min-speedup (e.g. --min-speedup 2.0) on quiet hardware.
 
 Usage: check_bench_regression.py <timing.json> [--min-speedup X]
 """
@@ -62,27 +65,29 @@ def main() -> None:
             fail(f"extra field '{key}' is not numeric")
 
     summary = f"{record['name']}: {record['seconds']:.3f}s, {record['threads']} threads"
-    # (reference field, optimized field, label) — each bench writes one pair.
+    # (reference field, optimized field, label, floor) — each bench writes
+    # one pair; a floor of None means the default parity-with-slack.
     ab_pairs = [
-        ("scalar_seconds", "batched_seconds", "batched"),
-        ("materialized_seconds", "streaming_seconds", "streaming"),
-        ("uncached_seconds", "cached_seconds", "lru-cached"),
+        ("scalar_seconds", "batched_seconds", "batched", None),
+        ("materialized_seconds", "streaming_seconds", "streaming", None),
+        ("uncached_seconds", "cached_seconds", "lru-cached", None),
         # bench_service_load --transport socket: the in-process lockstep
         # oracle (opt) replays the socket run's workload (ref); parity-with-
         # slack keeps the oracle from quietly regressing to the point where
         # reconciliation dominates the socket job.
-        ("socket_seconds", "lockstep_seconds", "lockstep-oracle"),
-        # bench_auth_throughput: serial per-candidate screening walk (ref)
-        # vs the FeatureBlock-batched screener, asserted bit-identical
-        # in-run before timing.
-        ("screen_serial_seconds", "screen_batched_seconds", "batched-screening"),
+        ("socket_seconds", "lockstep_seconds", "lockstep-oracle", None),
+        # bench_auth_throughput: packed kernel vs reference walk — the
+        # serial per-candidate walk (ref) vs the packed sign-flip cascade,
+        # asserted bit-identical in-run before timing. The field names
+        # predate the kernel and are kept so records compare across commits.
+        ("screen_serial_seconds", "screen_batched_seconds", "packed-screening", 3.0),
         # bench_auth_throughput: request-time live screening (ref) vs
         # pre-screened pool drains; the acceptance-scale floor (>= 3x on the
         # million-device fleet) lives in the bench's own --require-speedup.
-        ("issue_live_seconds", "issue_pooled_seconds", "pooled-issue"),
+        ("issue_live_seconds", "issue_pooled_seconds", "pooled-issue", None),
     ]
     found_pair = False
-    for ref_key, opt_key, label in ab_pairs:
+    for ref_key, opt_key, label, pair_floor in ab_pairs:
         ref = record.get(ref_key)
         opt = record.get(opt_key)
         if ref is None or opt is None:
@@ -91,7 +96,9 @@ def main() -> None:
         if opt <= 0 or ref <= 0:
             fail(f"A/B pair {ref_key}/{opt_key} present but a side is non-positive")
         speedup = ref / opt
-        floor = min_speedup if min_speedup is not None else 1.0 / 1.15
+        floor = pair_floor if pair_floor is not None else 1.0 / 1.15
+        if min_speedup is not None:
+            floor = max(floor, min_speedup)
         if speedup < floor:
             fail(f"{label} speedup {speedup:.2f} below floor {floor:.2f} "
              f"({ref_key} {ref:.4f}s, {opt_key} {opt:.4f}s)")

@@ -24,11 +24,16 @@
 #             flat-RSS and zero-metrics-drift audits, cold-replay recovery,
 #             compaction); the gate checks the timing JSON and that the
 #             LRU-cached serve path has not regressed behind cold replay
-#   auth      bench_auth_throughput at CI scale (batched screening vs the
-#             serial reference walk, pooled issuance vs live screening —
+#   auth      bench_auth_throughput at CI scale (packed screening kernel vs
+#             the reference walk, pooled issuance vs live screening —
 #             both asserted bit-identical in-run, with the zero-drift and
 #             flat-RSS audits in the exit code); gates: auth.*/db.mmap_*
 #             counter schema (--expect-auth) and both A/B timing pairs
+#             (the screening pair at a 3.0x floor)
+#   scalar    -DXPUF_BATCH_SIMD=OFF build (build-scalar/): the portable
+#             sign-flip and tile kernels held to the same bit-identity
+#             suites (test_screening, test_linear, test_selection,
+#             test_database)
 #   metrics   one bench run with --metrics-out, then a JSON schema check of
 #             the snapshot (tools/check_metrics_schema.py): counters/gauges/
 #             histograms/spans shape, nonzero selection cost, nonzero replay
@@ -188,9 +193,9 @@ store_job() {
 }
 
 # Authentication hot path at CI scale. The binary's exit code IS the audit
-# (bit-identical screening modes, pure pooled drains, zero metrics drift,
+# (packed kernel == reference walk, pure pooled drains, zero metrics drift,
 # flat RSS); the gates then check the auth.*/db.mmap_* counter schema and
-# both A/B pairs (batched-screening, pooled-issue) for regressions. The
+# both A/B pairs (packed-screening, pooled-issue) for regressions. The
 # acceptance-scale >= 3x pooled floor runs on the million-device fleet
 # (BENCH_auth_throughput.json), not here — CI shares one noisy core.
 auth_job() {
@@ -203,6 +208,22 @@ auth_job() {
     else
       echo "python3 absent; gates skipped (bench_out/auth_throughput_timing.json)"
     fi
+}
+
+# Portable-path contract: with the AVX2 kernels compiled out, the packed
+# screening kernel and the linear tile kernels must pass the same
+# bit-identity suites against the reference walk and the golden sequence.
+scalar_job() {
+  local t
+  cmake -B "${prefix}-scalar" -S . -DCMAKE_BUILD_TYPE=Release -DXPUF_WERROR=ON \
+    -DXPUF_BATCH_SIMD=OFF \
+    -DXPUF_BUILD_BENCHMARKS=OFF \
+    -DXPUF_BUILD_EXAMPLES=OFF &&
+    cmake --build "${prefix}-scalar" -j "${jobs}" \
+      --target test_screening test_linear test_selection test_database &&
+    for t in test_screening test_linear test_selection test_database; do
+      "${prefix}-scalar/tests/${t}" || return 1
+    done
 }
 
 # Build trees are run artifacts, never sources: fail when git tracks any
@@ -286,6 +307,7 @@ run_job fanalyzer fanalyzer_job
 run_job bench bench_job
 run_job store store_job
 run_job auth auth_job
+run_job scalar scalar_job
 run_job metrics metrics_job
 run_job service service_job
 run_job service-socket service_socket_job
