@@ -7,6 +7,7 @@
 // decorrelated child streams via Rng::fork().
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -18,8 +19,14 @@ class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+  /// The golden-ratio increment added to the state before every output.
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
+  std::uint64_t next() { return mix(state_ += kGamma); }
+
+  /// The output function: output k of SplitMix64(s) is mix(s + (k + 1) *
+  /// kGamma), so any one output can be computed without the ones before it.
+  static constexpr std::uint64_t mix(std::uint64_t z) {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
@@ -123,14 +130,26 @@ class StreamFamily {
   explicit StreamFamily(std::uint64_t base) : base_(base) {}
 
   /// The child stream for work item `index`.
-  Rng stream(std::uint64_t index) const {
-    SplitMix64 sm(base_ ^ (0x9e3779b97f4a7c15ULL * (index + 1)));
-    return Rng(sm.next());
+  Rng stream(std::uint64_t index) const { return Rng(seed(index)); }
+
+  /// stream(index).next_u64() in three splitmix rounds instead of five:
+  /// xoshiro256++'s first output reads only state words 0 and 3, and each
+  /// state word is one independent splitmix output of the stream's seed.
+  std::uint64_t first_u64(std::uint64_t index) const {
+    const std::uint64_t s = seed(index);
+    const std::uint64_t s0 = SplitMix64::mix(s + SplitMix64::kGamma);
+    const std::uint64_t s3 = SplitMix64::mix(s + 4 * SplitMix64::kGamma);
+    return std::rotl(s0 + s3, 23) + s0;
   }
 
   std::uint64_t base() const { return base_; }
 
  private:
+  /// The Rng seed of stream(index): the first splitmix output keyed by it.
+  std::uint64_t seed(std::uint64_t index) const {
+    return SplitMix64::mix((base_ ^ (SplitMix64::kGamma * (index + 1))) + SplitMix64::kGamma);
+  }
+
   std::uint64_t base_;
 };
 

@@ -1,6 +1,5 @@
 #include "net/wire.hpp"
 
-#include <array>
 #include <string>
 
 #include "common/error.hpp"
@@ -107,35 +106,6 @@ bool WireReader::read_bytes(std::uint64_t n, std::vector<std::uint8_t>& out) {
   out.assign(data_ + pos_, data_ + pos_ + n);
   pos_ += n;
   return true;
-}
-
-// --- crc32 ------------------------------------------------------------------
-
-namespace {
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (std::uint32_t k = 0; k < 8; ++k)
-      c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
-  }
-  return table;
-}
-
-}  // namespace
-
-std::uint32_t crc32(const std::uint8_t* data, std::uint64_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = 0xffffffffu;
-  for (std::uint64_t i = 0; i < size; ++i)
-    c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
-  return c ^ 0xffffffffu;
-}
-
-std::uint32_t crc32(const std::vector<std::uint8_t>& bytes) {
-  return crc32(bytes.data(), static_cast<std::uint64_t>(bytes.size()));
 }
 
 // --- frame codec ------------------------------------------------------------

@@ -12,7 +12,7 @@
 //       16     4  seq          per-connection transmission counter
 //       20     4  payload_len  bytes that follow before the checksum
 //       24     n  payload
-//     24+n     4  crc32        over bytes [0, 24+n)
+//     24+n     4  crc32        over bytes [0, 24+n) (common/crc32.hpp)
 //
 // Everything here goes through the explicit byte codecs below — the
 // xpuf_lint `wire-portability` rule forbids memcpy of structs, host-endian
@@ -27,6 +27,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "sim/device.hpp"
 
 namespace xpuf::net {
@@ -129,10 +130,6 @@ class WireReader {
   std::uint64_t size_;
   std::uint64_t pos_ = 0;
 };
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the frame checksum.
-std::uint32_t crc32(const std::uint8_t* data, std::uint64_t size);
-std::uint32_t crc32(const std::vector<std::uint8_t>& bytes);
 
 // --- frame codec ------------------------------------------------------------
 

@@ -14,6 +14,7 @@ namespace {
 /// issued sequence; it only trades per-block overhead against candidates
 /// evaluated past the one that fills the quota.
 constexpr std::size_t kBlock = 512;
+static_assert(kBlock <= sim::kRowBitFlag, "block rows must leave the row-tag flag bit free");
 
 }  // namespace
 
@@ -53,32 +54,12 @@ std::size_t ChallengeScreener::cascade(std::size_t n) {
   XPUF_REQUIRE(n <= kBlock, "cascade block larger than the block buffers");
   const std::size_t stages = view_->stages();
   const std::size_t nw = sim::packed_words(stages);
-  // Local pointers: the byte stores below may alias any member, which
-  // would otherwise force a reload of every buffer pointer per candidate.
-  std::uint64_t* const signs = signs_.data();
-  std::uint32_t* const live = live_.data();
-  std::uint8_t* const bits = bits_.data();
-  const double* const raw = raw_.data();
-  sim::parity_signs(words_.data(), stages, n, signs, kBlock);
-  for (std::size_t j = 0; j < n; ++j) {
-    live[j] = static_cast<std::uint32_t>(j);
-    bits[j] = 0;
-  }
+  sim::parity_signs(words_.data(), stages, n, signs_.data(), kBlock);
+  for (std::size_t j = 0; j < n; ++j) live_[j] = static_cast<std::uint32_t>(j);
   for (std::size_t p = 0; p < n_pufs_ && n > 0; ++p) {
-    sim::sign_flip_dots(signs, kBlock, n, view_->weights(p), raw_.data());
-    const ThresholdPair thr = thresholds_[p];
-    // Branch-free compaction: every candidate is copied to slot `kept`
-    // (kept <= j, so nothing unread is overwritten) and only a stable one
-    // advances it; a PUF's verdicts are coin flips a branch would mispredict.
-    std::size_t kept = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double r = raw[j];
-      for (std::size_t w = 0; w < nw; ++w) signs[w * kBlock + kept] = signs[w * kBlock + j];
-      live[kept] = live[j];
-      bits[kept] = static_cast<std::uint8_t>(bits[j] ^ (r > 0.5 ? 1u : 0u));
-      kept += thr.classify(r) != StableClass::kUnstable ? 1u : 0u;
-    }
-    n = kept;
+    sim::sign_flip_dots(signs_.data(), kBlock, n, view_->weights(p), raw_.data());
+    n = sim::compact_stable(raw_.data(), n, thresholds_[p].thr0, thresholds_[p].thr1,
+                            signs_.data(), kBlock, nw, live_.data());
   }
   return n;
 }
@@ -95,7 +76,6 @@ ChallengeScreener::Outcome ChallengeScreener::screen(const StreamFamily& family,
   words_.resize(kBlock * nw);
   signs_.resize(kBlock * nw);
   live_.resize(kBlock);
-  bits_.resize(kBlock);
   raw_.resize(kBlock);
   Outcome out;
   // Geometric block ramp: start near the demand of a small quota, grow to
@@ -107,17 +87,22 @@ ChallengeScreener::Outcome ChallengeScreener::screen(const StreamFamily& family,
     const std::size_t want = std::min(ramp, max_attempts - out.tried);
     ramp = std::min(kBlock, ramp * 2);
     const std::uint64_t block_first = first_index + out.tried;
-    for (std::size_t i = 0; i < want; ++i) {
-      Rng rng = family.stream(block_first + i);
-      for (std::size_t w = 0; w < nw; ++w) words_[i * nw + w] = rng.next_u64();
+    if (nw == 1) {
+      for (std::size_t i = 0; i < want; ++i) words_[i] = family.first_u64(block_first + i);
+    } else {
+      for (std::size_t i = 0; i < want; ++i) {
+        Rng rng = family.stream(block_first + i);
+        for (std::size_t w = 0; w < nw; ++w) words_[i * nw + w] = rng.next_u64();
+      }
     }
     const std::size_t survivors = cascade(want);
     std::size_t examined = want;
     for (std::size_t j = 0; j < survivors; ++j) {
-      const std::size_t row = live_[j];
+      const std::size_t row = live_[j] & ~sim::kRowBitFlag;
+      const bool expected = (live_[j] & sim::kRowBitFlag) != 0;
       ++out.stable;
       sim::challenge_from_words(words_.data() + row * nw, stages, challenge);
-      if (sink(std::move(challenge), bits_[j] != 0) && ++out.accepted == count) {
+      if (sink(std::move(challenge), expected) && ++out.accepted == count) {
         examined = row + 1;
         break;
       }

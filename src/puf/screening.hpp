@@ -6,11 +6,14 @@
 // runs that walk on one kernel, the packed sign-flip cascade of
 // sim/linear.hpp, on the calling thread:
 //
-//   - a block of candidates stays packed, one 64-bit word per 64 stages;
+//   - a block of candidates stays packed, one 64-bit word per 64 stages; up
+//     to 64 stages the word is StreamFamily::first_u64 (three splitmix
+//     rounds, the same value as the stream's first draw);
 //   - their parity signs come from one suffix-XOR scan per word;
 //   - PUF 0 is evaluated on the whole block, the candidates it calls
-//     stable are compacted and passed to PUF 1, and so on, so a candidate
-//     rejected early costs no further dots;
+//     stable are compacted (sim::compact_stable, which branches on no
+//     verdict) and passed to PUF 1, and so on, so a candidate rejected
+//     early costs no further dots;
 //   - only accepted candidates are unpacked into Challenge.
 //
 // Every raw prediction is bit-identical to feature_fill + the ascending
@@ -68,8 +71,8 @@ class ChallengeScreener {
 
  private:
   /// Runs the PUF cascade over the first `n` candidates of the block; leaves
-  /// the survivors' block rows (ascending) in live_ and their expected bits
-  /// in bits_, and returns how many survived.
+  /// the survivors' row tags in live_ (block row ascending, expected XOR bit
+  /// in sim::kRowBitFlag) and returns how many survived.
   std::size_t cascade(std::size_t n);
 
   const ModelView* view_;
@@ -77,12 +80,11 @@ class ChallengeScreener {
   std::vector<ThresholdPair> thresholds_;  ///< beta-adjusted, derived once
   // Block storage, sized on the first block and reused: packed challenge
   // words (candidate-major), their parity-sign planes (word-major,
-  // compacted in place as the cascade rejects), surviving rows, partial
-  // expected bits and one PUF's raw predictions.
+  // compacted in place as the cascade rejects), surviving row tags and one
+  // PUF's raw predictions.
   std::vector<std::uint64_t> words_;
   std::vector<std::uint64_t> signs_;
   std::vector<std::uint32_t> live_;
-  std::vector<std::uint8_t> bits_;
   std::vector<double> raw_;
 };
 

@@ -1,6 +1,5 @@
 #include "puf/store/record.hpp"
 
-#include <array>
 #include <utility>
 
 #include "common/error.hpp"
@@ -38,20 +37,7 @@ const char* to_string(RecordStatus status) {
   return "unknown record status";
 }
 
-// --- crc32 ------------------------------------------------------------------
-
 namespace {
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (std::uint32_t k = 0; k < 8; ++k)
-      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
-  }
-  return table;
-}
 
 /// Fixed byte footprint of a REGISTER payload's geometry + beta prefix:
 /// u32 puf_count + u32 stages (the f64 betas follow but are not part of the
@@ -63,14 +49,6 @@ constexpr std::uint32_t kLedgerFixedBytes = 8;
 std::uint64_t row_bytes_for(std::uint64_t stages) { return (stages + 7) / 8; }
 
 }  // namespace
-
-std::uint32_t crc32(const std::uint8_t* data, std::uint64_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::uint64_t i = 0; i < size; ++i)
-    crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
 
 // --- record framing ---------------------------------------------------------
 

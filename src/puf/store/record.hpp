@@ -16,7 +16,7 @@
 //        4     8  device_id
 //       12     4  payload_len  bytes that follow before the checksum
 //       16     n  payload
-//     16+n     4  crc32        over bytes [0, 16+n)
+//     16+n     4  crc32        over bytes [0, 16+n) (common/crc32.hpp)
 //
 // A store file is a plain concatenation of records (an op log); decoding is
 // streaming — decode_record() consumes one record at an offset and reports
@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "puf/enrollment.hpp"
 #include "puf/model_view.hpp"
 
@@ -188,9 +189,6 @@ inline bool RecordReader::skip(std::uint64_t n) {
   pos_ += n;
   return true;
 }
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the record checksum.
-std::uint32_t crc32(const std::uint8_t* data, std::uint64_t size);
 
 // --- record framing ---------------------------------------------------------
 

@@ -437,4 +437,99 @@ void sign_flip_dots(const std::uint64_t* signs, std::size_t stride, std::size_t 
   sign_flip_dots_portable(signs, stride, j, n, w, stages, out);
 }
 
+namespace {
+
+/// Portable compaction of candidates [begin, n) into slots from `kept`.
+std::size_t compact_stable_portable(const double* raw, std::size_t begin, std::size_t n,
+                                    double thr0, double thr1, std::uint64_t* signs,
+                                    std::size_t stride, std::size_t nw, std::uint32_t* rows,
+                                    std::size_t kept) {
+  // Every candidate is copied to slot `kept` (kept <= j, so nothing unread is
+  // overwritten) and only a kept one advances it. The bitwise OR evaluates
+  // both compares, so no verdict becomes a branch.
+  for (std::size_t j = begin; j < n; ++j) {
+    const double r = raw[j];
+    for (std::size_t w = 0; w < nw; ++w) signs[w * stride + kept] = signs[w * stride + j];
+    rows[kept] = rows[j] ^ (static_cast<std::uint32_t>(r > 0.5) << 31);
+    kept += static_cast<std::size_t>((r < thr0) | (r > thr1));
+  }
+  return kept;
+}
+
+#if defined(__AVX2__)
+
+/// Entry m of each table gathers the lanes set in the 4-bit keep mask m to
+/// the front, in lane order: position l names the source lane of output
+/// lane l (unused outputs read lane 0). `words` indexes the 32-bit halves
+/// of four 64-bit sign words, `rows` four 32-bit row tags.
+struct CompactLut {
+  alignas(32) std::int32_t words[16][8];
+  alignas(16) std::int32_t rows[16][4];
+};
+
+constexpr CompactLut make_compact_lut() {
+  CompactLut lut{};
+  for (int m = 0; m < 16; ++m) {
+    int out = 0;
+    for (int lane = 0; lane < 4; ++lane) {
+      if (((m >> lane) & 1) == 0) continue;
+      lut.words[m][2 * out] = 2 * lane;
+      lut.words[m][2 * out + 1] = 2 * lane + 1;
+      lut.rows[m][out] = lane;
+      ++out;
+    }
+  }
+  return lut;
+}
+
+constexpr CompactLut kCompactLut = make_compact_lut();
+
+#endif  // __AVX2__
+
+}  // namespace
+
+std::size_t compact_stable(const double* raw, std::size_t n, double thr0, double thr1,
+                           std::uint64_t* signs, std::size_t stride, std::size_t nw,
+                           std::uint32_t* rows) {
+  XPUF_REQUIRE(nw >= 1, "compact_stable needs at least one sign plane");
+  XPUF_REQUIRE(stride >= n, "sign planes narrower than the candidate count");
+  std::size_t kept = 0;
+  std::size_t j = 0;
+#if defined(__AVX2__)
+  // Four candidates per step. Each store writes four lanes at `kept` <= j,
+  // all of them slots already loaded, and the kept prefix is exact; the
+  // ordered-quiet compares are false on NaN, like classify's < and >.
+  const __m256d lo = _mm256_set1_pd(thr0);
+  const __m256d hi = _mm256_set1_pd(thr1);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256i pick_high = _mm256_setr_epi32(1, 3, 5, 7, 1, 3, 5, 7);
+  const __m128i flag = _mm_set1_epi32(static_cast<int>(kRowBitFlag));
+  for (; j + 4 <= n; j += 4) {
+    const __m256d r = _mm256_loadu_pd(raw + j);
+    const __m256d keep =
+        _mm256_or_pd(_mm256_cmp_pd(r, lo, _CMP_LT_OQ), _mm256_cmp_pd(r, hi, _CMP_GT_OQ));
+    const int m = _mm256_movemask_pd(keep);
+    const __m256i word_perm =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(kCompactLut.words[m]));
+    for (std::size_t w = 0; w < nw; ++w) {
+      std::uint64_t* plane = signs + w * stride;
+      const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plane + j));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(plane + kept),
+                          _mm256_permutevar8x32_epi32(s, word_perm));
+    }
+    // The one-bit masks of the four 64-bit compares, narrowed to 32-bit lanes.
+    const __m128i one = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+        _mm256_castpd_si256(_mm256_cmp_pd(r, half, _CMP_GT_OQ)), pick_high));
+    const __m128i tags = _mm_xor_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + j)), _mm_and_si128(one, flag));
+    const __m128i row_perm =
+        _mm_load_si128(reinterpret_cast<const __m128i*>(kCompactLut.rows[m]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(rows + kept),
+                     _mm_castps_si128(_mm_permutevar_ps(_mm_castsi128_ps(tags), row_perm)));
+    kept += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(m)));
+  }
+#endif
+  return compact_stable_portable(raw, j, n, thr0, thr1, signs, stride, nw, rows, kept);
+}
+
 }  // namespace xpuf::sim

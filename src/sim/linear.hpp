@@ -179,4 +179,22 @@ void parity_signs(const std::uint64_t* words, std::size_t stages, std::size_t n,
 void sign_flip_dots(const std::uint64_t* signs, std::size_t stride, std::size_t n,
                     std::span<const double> weights, double* out);
 
+/// Bit of a compacted row tag that carries the running expected response.
+constexpr std::uint32_t kRowBitFlag = 1u << 31;
+
+/// One cascade step over `n` candidates: keeps candidate j iff
+/// raw[j] < thr0 or raw[j] > thr1 (NaN is never kept, as in
+/// ThresholdPair::classify), moving its `nw` sign words (word w at
+/// signs[w * stride + j]) and its row tag rows[j] to the next free slot in
+/// index order, and toggles kRowBitFlag of the tag when raw[j] > 0.5 — the
+/// XOR of the PUF responses accumulates there, while the low bits hold the
+/// block row (rows must stay below kRowBitFlag). Returns the number kept;
+/// slots past it hold garbage. AVX2 builds take four candidates per step
+/// through a movemask-indexed permutation LUT; the portable loop copies every
+/// candidate and advances by the OR of the two compares. Neither branches on
+/// a verdict.
+std::size_t compact_stable(const double* raw, std::size_t n, double thr0, double thr1,
+                           std::uint64_t* signs, std::size_t stride, std::size_t nw,
+                           std::uint32_t* rows);
+
 }  // namespace xpuf::sim

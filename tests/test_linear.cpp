@@ -11,6 +11,8 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "puf/enrollment.hpp"
 #include "puf/screening.hpp"
 #include "puf/selection.hpp"
+#include "puf/stability.hpp"
 #include "puf/transform.hpp"
 #include "sim/linear.hpp"
 #include "sim/population.hpp"
@@ -239,6 +242,56 @@ TEST(PackedKernel, SignFlipDotsAreBitIdenticalToTheFeatureDot) {
         // Sign bits at or past `stages` are cleared.
         if (stages % 64 != 0) {
           EXPECT_EQ(signs[(nw - 1) * stride + j] >> (stages % 64), 0u);
+        }
+      }
+    }
+  }
+}
+
+// The compaction step against a classify-based scalar loop: random raws
+// mixed with NaN, +-0, +-inf and values exactly at thr0, thr1 and 0.5;
+// infinite, crossed and touching thresholds; counts that leave every tail
+// of the four-wide path; one to three sign planes with garbage past n.
+TEST(PackedKernel, CompactStableMatchesTheClassifyLoop) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<puf::ThresholdPair> pairs = {
+      {0.3, 0.7}, {0.0, 1.0}, {0.5, 0.5}, {-kInf, 0.6}, {0.4, kInf}, {-kInf, kInf}, {kInf, -kInf}};
+  Rng rng(707);
+  for (const puf::ThresholdPair thr : pairs) {
+    const double specials[] = {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.0, kInf, -kInf,
+                               thr.thr0, thr.thr1, 0.5};
+    for (const std::size_t nw : {1ul, 2ul, 3ul}) {
+      for (std::size_t n = 0; n < 20; ++n) {
+        SCOPED_TRACE("thr=(" + std::to_string(thr.thr0) + ", " + std::to_string(thr.thr1) +
+                     ") nw=" + std::to_string(nw) + " n=" + std::to_string(n));
+        for (int trial = 0; trial < 8; ++trial) {
+          const std::size_t stride = n + 3;
+          std::vector<double> raw(n);
+          for (double& r : raw)
+            r = rng.bernoulli(0.4) ? specials[rng.uniform_below(std::size(specials))]
+                                   : rng.uniform(-0.5, 1.5);
+          std::vector<std::uint64_t> signs(nw * stride);
+          for (auto& x : signs) x = rng.next_u64();
+          std::vector<std::uint32_t> rows(n);
+          for (std::size_t j = 0; j < n; ++j)
+            rows[j] = static_cast<std::uint32_t>(j) | (rng.bernoulli() ? sim::kRowBitFlag : 0u);
+          // Oracle: the scalar walk over classify.
+          std::vector<std::uint32_t> want_rows;
+          std::vector<std::vector<std::uint64_t>> want_signs(nw);
+          for (std::size_t j = 0; j < n; ++j) {
+            if (thr.classify(raw[j]) == puf::StableClass::kUnstable) continue;
+            want_rows.push_back(rows[j] ^ (raw[j] > 0.5 ? sim::kRowBitFlag : 0u));
+            for (std::size_t w = 0; w < nw; ++w) want_signs[w].push_back(signs[w * stride + j]);
+          }
+          const std::size_t kept = sim::compact_stable(raw.data(), n, thr.thr0, thr.thr1,
+                                                       signs.data(), stride, nw, rows.data());
+          ASSERT_EQ(kept, want_rows.size());
+          EXPECT_EQ(std::vector<std::uint32_t>(rows.begin(), rows.begin() + kept), want_rows);
+          for (std::size_t w = 0; w < nw; ++w) {
+            const auto plane = signs.begin() + static_cast<std::ptrdiff_t>(w * stride);
+            EXPECT_EQ(std::vector<std::uint64_t>(plane, plane + kept), want_signs[w])
+                << "plane " << w;
+          }
         }
       }
     }

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
@@ -19,6 +21,41 @@ TEST(SplitMix64, IsDeterministicAndMixing) {
   SplitMix64 c(123), d(124);
   // Adjacent seeds must not produce adjacent outputs.
   EXPECT_NE(c.next(), d.next());
+}
+
+TEST(SplitMix64, AnyOutputIsTheMixOfItsOwnState) {
+  // Output k of SplitMix64(s) is mix(s + (k + 1) * gamma): the identity
+  // StreamFamily::first_u64 uses to skip the outputs it does not need.
+  Rng seeds(99);
+  for (int trial = 0; trial < 16; ++trial) {
+    const std::uint64_t s = seeds.next_u64();
+    SplitMix64 sm(s);
+    for (std::uint64_t k = 0; k < 8; ++k)
+      EXPECT_EQ(sm.next(), SplitMix64::mix(s + (k + 1) * SplitMix64::kGamma));
+  }
+}
+
+TEST(StreamFamily, FirstDrawEqualsTheStreamsFirstOutput) {
+  // The three-round shortcut must equal the full five-round path for any
+  // base and index, including the index extremes where index + 1 and the
+  // gamma multiple wrap.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::uint64_t edges[] = {0, 1, (std::uint64_t{1} << 32) - 1, std::uint64_t{1} << 63,
+                                 kMax};
+  Rng rng(2024);
+  std::vector<std::uint64_t> bases = {0, 1, kMax};
+  for (int i = 0; i < 32; ++i) bases.push_back(rng.next_u64());
+  for (const std::uint64_t base : bases) {
+    const StreamFamily family(base);
+    for (const std::uint64_t index : edges)
+      EXPECT_EQ(family.first_u64(index), family.stream(index).next_u64())
+          << "base " << base << " index " << index;
+    for (int i = 0; i < 64; ++i) {
+      const std::uint64_t index = rng.next_u64();
+      EXPECT_EQ(family.first_u64(index), family.stream(index).next_u64())
+          << "base " << base << " index " << index;
+    }
+  }
 }
 
 TEST(Rng, SameSeedSameStream) {
