@@ -1,11 +1,11 @@
 #include "puf/database.hpp"
 
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::puf {
 
@@ -56,8 +56,8 @@ void ServerDatabase::register_device(ServerModel model) {
     store_->register_device(std::move(model));
   } else {
     XPUF_REQUIRE(!knows(id), "device already registered");
+    issued_.insert_or_assign(id, store::ChallengeLedger(model.stages()));
     models_.emplace(id, std::move(model));
-    issued_[id];
   }
   if (config_.pool.target > 0) {
     // Enrollment pre-screens the device's issuance pool so its first
@@ -80,7 +80,7 @@ void ServerDatabase::revoke_device(std::size_t chip_id) {
   {
     std::lock_guard<std::mutex> lock(*mem_pool_mu_);
     if (const auto it = mem_pools_.find(chip_id); it != mem_pools_.end()) {
-      mem_pool_undrained_ -= it->second.pool.keys.size() - it->second.head;
+      mem_pool_undrained_ -= it->second.pool.size() - it->second.head;
       mem_pools_.erase(it);
     }
   }
@@ -104,7 +104,7 @@ ModelView ServerDatabase::resolve_view(std::size_t chip_id) const {
   return ModelView::of(it->second);
 }
 
-std::set<std::string>& ServerDatabase::ledger_ref(std::size_t chip_id) {
+store::ChallengeLedger& ServerDatabase::ledger_ref(std::size_t chip_id) {
   // Find-based on purpose: issue() must never mutate the ledger map itself,
   // so concurrent calls for DISTINCT pre-registered devices touch disjoint
   // ledgers (see the concurrency contract in database.hpp).
@@ -148,27 +148,29 @@ bool ServerDatabase::pool_peek(std::size_t chip_id, std::uint32_t& head,
   const auto it = mem_pools_.find(chip_id);
   if (it == mem_pools_.end()) return false;
   head = it->second.head;
-  count = static_cast<std::uint32_t>(it->second.pool.keys.size());
+  count = static_cast<std::uint32_t>(it->second.pool.size());
   cursor = it->second.pool.cursor;
   epoch = it->second.pool.epoch;
   return true;
 }
 
 void ServerDatabase::pool_read(std::size_t chip_id, std::uint32_t first, std::uint32_t n,
-                               std::vector<std::string>& keys,
+                               std::vector<std::uint64_t>& words,
                                std::vector<std::uint8_t>& expected) const {
   if (store_ != nullptr) {
-    store_->read_pool_slice(chip_id, first, n, keys, expected);
+    store_->read_pool_slice(chip_id, first, n, words, expected);
     return;
   }
   std::lock_guard<std::mutex> lock(*mem_pool_mu_);
   const auto it = mem_pools_.find(chip_id);
   XPUF_REQUIRE(it != mem_pools_.end(), "device has no pool");
-  XPUF_REQUIRE(first + n <= it->second.pool.keys.size(), "pool slice out of range");
-  for (std::uint32_t i = first; i < first + n; ++i) {
-    keys.push_back(it->second.pool.keys[i]);
-    expected.push_back(it->second.pool.expected[i]);
-  }
+  const store::PoolPayload& pool = it->second.pool;
+  XPUF_REQUIRE(first + n <= pool.size(), "pool slice out of range");
+  const std::size_t nw = sim::packed_words(pool.stages);
+  words.insert(words.end(), pool.words.begin() + static_cast<std::ptrdiff_t>(first * nw),
+               pool.words.begin() + static_cast<std::ptrdiff_t>((first + n) * nw));
+  expected.insert(expected.end(), pool.expected.begin() + first,
+                  pool.expected.begin() + first + n);
 }
 
 void ServerDatabase::pool_set_head(std::size_t chip_id, std::uint32_t head) {
@@ -184,7 +186,7 @@ void ServerDatabase::pool_set_head(std::size_t chip_id, std::uint32_t head) {
 }
 
 void ServerDatabase::pool_write(std::size_t chip_id, store::PoolPayload pool) {
-  XPUF_REQUIRE(pool.keys.size() == pool.expected.size(),
+  XPUF_REQUIRE(pool.words.size() == pool.size() * sim::packed_words(pool.stages),
                "pool rows and expected bits must align");
   if (store_ != nullptr) {
     store_->record_pool(chip_id, pool);
@@ -192,8 +194,8 @@ void ServerDatabase::pool_write(std::size_t chip_id, store::PoolPayload pool) {
   }
   std::lock_guard<std::mutex> lock(*mem_pool_mu_);
   MemPool& entry = mem_pools_[chip_id];
-  mem_pool_undrained_ -= entry.pool.keys.size() - entry.head;
-  mem_pool_undrained_ += pool.keys.size();
+  mem_pool_undrained_ -= entry.pool.size() - entry.head;
+  mem_pool_undrained_ += pool.size();
   entry.pool = std::move(pool);
   entry.head = 0;
 }
@@ -213,7 +215,7 @@ std::size_t ServerDatabase::pool_remaining(std::size_t chip_id) const {
 }
 
 std::size_t ServerDatabase::refill_pool(std::size_t chip_id, const ModelView& view,
-                                        const std::set<std::string>& ledger) {
+                                        const store::ChallengeLedger& ledger) {
   XPUF_TRACE_SPAN("db.pool_refill");
   XPUF_REQUIRE(config_.pool.target >= 1, "refill_pool requires pooling enabled");
   static Counter& refills = MetricsRegistry::global().counter("auth.pool_refills");
@@ -225,22 +227,24 @@ std::size_t ServerDatabase::refill_pool(std::size_t chip_id, const ModelView& vi
   next.epoch = existed ? epoch + 1 : 1;
   const std::uint64_t start = existed ? cursor : 0;
   // Undrained leftovers carry over — screened work is never thrown away.
-  if (existed && head < count) pool_read(chip_id, head, count - head, next.keys, next.expected);
+  if (existed && head < count) pool_read(chip_id, head, count - head, next.words, next.expected);
   const std::size_t want =
-      config_.pool.target > next.keys.size() ? config_.pool.target - next.keys.size() : 0;
+      config_.pool.target > next.size() ? config_.pool.target - next.size() : 0;
   std::size_t tried = 0;
   if (want > 0) {
     ChallengeScreener screener(view, config_.n_pufs);
     const StreamFamily family = device_family(chip_id);
+    const std::size_t nw = sim::packed_words(next.stages);
     // Already-issued and already-pooled challenges (carried-over leftovers
     // included — a small challenge space repeats candidates) never enter
     // the pool; skipping them here instead of at drain time keeps the
     // drain's replay count a pure crash-recovery signal.
-    std::unordered_set<std::string> pooled(next.keys.begin(), next.keys.end());
-    const ChallengeScreener::Sink sink = [&](Challenge&& challenge, bool bit) {
-      std::string key = store::pack_challenge(challenge);
-      if (ledger.count(key) != 0 || !pooled.insert(key).second) return false;
-      next.keys.push_back(std::move(key));
+    store::ChallengeLedger pooled(next.stages);
+    pooled.reserve(config_.pool.target);
+    for (std::size_t at = 0; at < next.words.size(); at += nw) (void)pooled.insert(&next.words[at]);
+    const ChallengeScreener::Sink sink = [&](const std::uint64_t* key, bool bit) {
+      if (ledger.contains(key) || !pooled.insert(key)) return false;
+      next.words.insert(next.words.end(), key, key + nw);
       next.expected.push_back(bit ? 1 : 0);
       return true;
     };
@@ -259,25 +263,26 @@ std::size_t ServerDatabase::refill_pool(std::size_t chip_id, const ModelView& vi
   return tried;
 }
 
-void ServerDatabase::fill_live(const ModelView& view, std::set<std::string>& ledger,
-                               ChallengeBatch& batch, std::vector<std::string>& fresh,
+void ServerDatabase::fill_live(const ModelView& view, store::ChallengeLedger& ledger,
+                               ChallengeBatch& batch, std::vector<std::uint64_t>& fresh,
                                Rng& rng) {
   XPUF_REQUIRE(batch.challenges.size() < config_.policy.challenge_count,
                "fill_live called with an already-full batch");
   const std::size_t need = config_.policy.challenge_count - batch.challenges.size();
+  const std::size_t stages = view.stages();
+  const std::size_t nw = sim::packed_words(stages);
   ChallengeScreener screener(view, config_.n_pufs);
   const StreamFamily family(rng.fork_base());
-  const ChallengeScreener::Sink sink = [&](Challenge&& challenge, bool bit) {
-    std::string key = store::pack_challenge(challenge);
-    if (!ledger.insert(key).second) {
+  const ChallengeScreener::Sink sink = [&](const std::uint64_t* key, bool bit) {
+    if (!ledger.insert(key)) {
       // Replay-guarded: this stable challenge was issued to the device
       // before (e.g. a reused issuance seed); count the rejection — it is
       // the chosen-challenge-attack signal the server must observe.
       ++batch.replay_rejected;
       return false;
     }
-    fresh.push_back(std::move(key));
-    batch.challenges.push_back(std::move(challenge));
+    fresh.insert(fresh.end(), key, key + nw);
+    sim::challenge_from_words(key, stages, batch.challenges.emplace_back());
     batch.expected.push_back(bit);
     return true;
   };
@@ -288,14 +293,14 @@ void ServerDatabase::fill_live(const ModelView& view, std::set<std::string>& led
   if (!outcome.filled) {
     // Nothing of this batch is sent or logged: un-remember every key it
     // put in the ledger (pool-drained ones included) before failing.
-    for (const std::string& key : fresh) ledger.erase(key);
+    for (std::size_t at = 0; at < fresh.size(); at += nw) (void)ledger.erase(&fresh[at]);
     throw NumericalError("challenge issuance exhausted its attempt budget");
   }
 }
 
 void ServerDatabase::finish_issue(std::size_t chip_id, std::uint32_t stages,
                                   ChallengeBatch& batch,
-                                  const std::vector<std::string>& fresh) {
+                                  const std::vector<std::uint64_t>& fresh) {
   XPUF_REQUIRE(batch.challenges.size() == batch.expected.size(),
                "issued rows and expected bits must align");
   auto& registry = MetricsRegistry::global();
@@ -310,8 +315,9 @@ void ServerDatabase::finish_issue(std::size_t chip_id, std::uint32_t stages,
     // anywhere (the store refreshes the gauges).
     store_->record_issued(chip_id, stages, fresh);
   } else {
+    const std::uint64_t added = fresh.size() / sim::packed_words(stages);
     const std::uint64_t total =
-        ledger_total_.fetch_add(fresh.size(), std::memory_order_relaxed) + fresh.size();
+        ledger_total_.fetch_add(added, std::memory_order_relaxed) + added;
     ledger_size.set(static_cast<double>(total));
   }
 }
@@ -320,10 +326,10 @@ ChallengeBatch ServerDatabase::issue_live(std::size_t chip_id, Rng& rng) {
   XPUF_TRACE_SPAN("db.issue_live");
   XPUF_REQUIRE(config_.policy.challenge_count > 0, "an authentication batch cannot be empty");
   const ModelView view = resolve_view(chip_id);
-  std::set<std::string>& ledger = ledger_ref(chip_id);
+  store::ChallengeLedger& ledger = ledger_ref(chip_id);
   ChallengeBatch batch;
-  std::vector<std::string> fresh;
-  fresh.reserve(config_.policy.challenge_count);
+  std::vector<std::uint64_t> fresh;
+  fresh.reserve(config_.policy.challenge_count * sim::packed_words(view.stages()));
   fill_live(view, ledger, batch, fresh, rng);
   finish_issue(chip_id, static_cast<std::uint32_t>(view.stages()), batch, fresh);
   return batch;
@@ -343,10 +349,13 @@ ChallengeBatch ServerDatabase::issue(std::size_t chip_id, Rng& rng) {
     return issue_live(chip_id, rng);
   }
   const std::uint32_t stages = device_stages(chip_id);
-  std::set<std::string>& ledger = ledger_ref(chip_id);
+  store::ChallengeLedger& ledger = ledger_ref(chip_id);
+  const std::size_t nw = sim::packed_words(stages);
   ChallengeBatch batch;
-  std::vector<std::string> fresh;
-  fresh.reserve(config_.policy.challenge_count);
+  std::vector<std::uint64_t> fresh;
+  fresh.reserve(config_.policy.challenge_count * nw);
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint8_t> expected;
   bool pool_ok = true;
   std::size_t dry_refills = 0;
   while (batch.challenges.size() < config_.policy.challenge_count) {
@@ -368,20 +377,21 @@ ChallengeBatch ServerDatabase::issue(std::size_t chip_id, Rng& rng) {
     const auto need = static_cast<std::uint32_t>(config_.policy.challenge_count -
                                                  batch.challenges.size());
     const std::uint32_t take = std::min(count - head, need);
-    std::vector<std::string> keys;
-    std::vector<std::uint8_t> expected;
-    pool_read(chip_id, head, take, keys, expected);
+    words.clear();
+    expected.clear();
+    pool_read(chip_id, head, take, words, expected);
     for (std::uint32_t i = 0; i < take; ++i) {
-      if (!ledger.insert(keys[i]).second) {
+      const std::uint64_t* key = &words[i * nw];
+      if (!ledger.insert(key)) {
         // Only a crash-recovery re-drain reaches here: replay reset the
         // drain head, and the logged ledger screens out what was already
         // sent. Counted — it is still an issued-challenge-reuse signal.
         ++batch.replay_rejected;
         continue;
       }
-      batch.challenges.push_back(store::unpack_challenge(keys[i], stages));
+      sim::challenge_from_words(key, stages, batch.challenges.emplace_back());
       batch.expected.push_back(expected[i] != 0);
-      fresh.push_back(std::move(keys[i]));
+      fresh.insert(fresh.end(), key, key + nw);
     }
     pool_set_head(chip_id, head + take);
   }

@@ -26,7 +26,7 @@
 // Concurrency contract: issue(), verify(), authenticate() and the const
 // accessors are safe to call concurrently for DISTINCT pre-registered
 // devices — they never mutate the registry maps themselves, only the
-// per-device ledger set the caller's device owns (std::map lookups tolerate
+// per-device ledger the caller's device owns (std::map lookups tolerate
 // concurrent readers, and disjoint mapped values may be mutated in
 // parallel; the store locks its shared cache and shard files internally).
 // register_device(), revoke_device() and save() mutate the maps and require
@@ -41,7 +41,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -164,7 +163,7 @@ class ServerDatabase {
   /// Model access for screening: zero-copy mapped view, cached model, or
   /// borrowed registry reference.
   ModelView resolve_view(std::size_t chip_id) const;
-  std::set<std::string>& ledger_ref(std::size_t chip_id);
+  store::ChallengeLedger& ledger_ref(std::size_t chip_id);
   std::uint32_t device_stages(std::size_t chip_id) const;
   /// The device's pool candidate stream family — pure function of
   /// (config_.pool.seed, chip_id).
@@ -174,8 +173,9 @@ class ServerDatabase {
   // concurrently for distinct devices (store pool mutex / mem_pool_mu_).
   bool pool_peek(std::size_t chip_id, std::uint32_t& head, std::uint32_t& count,
                  std::uint64_t& cursor, std::uint32_t& epoch) const;
+  /// Appends pool entries [first, first + n) as packed challenge words.
   void pool_read(std::size_t chip_id, std::uint32_t first, std::uint32_t n,
-                 std::vector<std::string>& keys,
+                 std::vector<std::uint64_t>& words,
                  std::vector<std::uint8_t>& expected) const;
   void pool_set_head(std::size_t chip_id, std::uint32_t head);
   void pool_write(std::size_t chip_id, store::PoolPayload pool);
@@ -187,21 +187,23 @@ class ServerDatabase {
   /// head = 0 and a bumped epoch. Returns candidates tried (the caller adds
   /// it to the batch's accounting).
   std::size_t refill_pool(std::size_t chip_id, const ModelView& view,
-                          const std::set<std::string>& ledger);
+                          const store::ChallengeLedger& ledger);
   /// Completes `batch` to challenge_count via live screening (the shared
-  /// kernel of issue_live and the pool-bypass fallback). When the attempt
-  /// budget runs out it erases every key of `fresh` from the ledger, then
-  /// throws NumericalError.
-  void fill_live(const ModelView& view, std::set<std::string>& ledger,
-                 ChallengeBatch& batch, std::vector<std::string>& fresh, Rng& rng);
+  /// kernel of issue_live and the pool-bypass fallback). `fresh` collects
+  /// the packed words of every challenge the batch added to the ledger.
+  /// When the attempt budget runs out it erases every key of `fresh` from
+  /// the ledger, then throws NumericalError.
+  void fill_live(const ModelView& view, store::ChallengeLedger& ledger,
+                 ChallengeBatch& batch, std::vector<std::uint64_t>& fresh, Rng& rng);
   /// Common issue() epilogue: replay/issued metrics + logged ledger append.
   void finish_issue(std::size_t chip_id, std::uint32_t stages, ChallengeBatch& batch,
-                    const std::vector<std::string>& fresh);
+                    const std::vector<std::uint64_t>& fresh);
 
   DatabaseConfig config_;
   std::map<std::size_t, ServerModel> models_;
-  /// Replay ledger: packed challenge keys (store::pack_challenge) per device.
-  std::map<std::size_t, std::set<std::string>> issued_;
+  /// Replay ledger per device: issued challenges as packed challenge words
+  /// in a flat table (store::ChallengeLedger).
+  std::map<std::size_t, store::ChallengeLedger> issued_;
   /// Fleet-wide issued-challenge count behind the db.ledger_size gauge
   /// (in-memory mode); atomic because concurrent issue() calls for distinct
   /// devices both retire into it.

@@ -82,7 +82,8 @@ ChallengeScreener::Outcome ChallengeScreener::screen(const StreamFamily& family,
   // kBlock. Candidate j's bits depend only on its stream index, so the
   // partition is invisible in the issued sequence.
   std::size_t ramp = std::min(kBlock, std::max<std::size_t>(64, 2 * count));
-  Challenge challenge;
+  const std::size_t tail = stages % 64;
+  const std::uint64_t tail_mask = tail == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << tail) - 1;
   while (out.accepted < count && out.tried < max_attempts) {
     const std::size_t want = std::min(ramp, max_attempts - out.tried);
     ramp = std::min(kBlock, ramp * 2);
@@ -101,8 +102,11 @@ ChallengeScreener::Outcome ChallengeScreener::screen(const StreamFamily& family,
       const std::size_t row = live_[j] & ~sim::kRowBitFlag;
       const bool expected = (live_[j] & sim::kRowBitFlag) != 0;
       ++out.stable;
-      sim::challenge_from_words(words_.data() + row * nw, stages, challenge);
-      if (sink(std::move(challenge), expected) && ++out.accepted == count) {
+      // The drawn words carry stream bits past the last stage; the sink
+      // gets the canonical key.
+      std::uint64_t* key = words_.data() + row * nw;
+      key[nw - 1] &= tail_mask;
+      if (sink(key, expected) && ++out.accepted == count) {
         examined = row + 1;
         break;
       }

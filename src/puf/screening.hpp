@@ -14,7 +14,9 @@
 //     stable are compacted (sim::compact_stable, which branches on no
 //     verdict) and passed to PUF 1, and so on, so a candidate rejected
 //     early costs no further dots;
-//   - only accepted candidates are unpacked into Challenge.
+//   - the sink receives each stable candidate as its packed words, masked
+//     to the stage count (the ChallengeLedger key and pack_challenge row
+//     layout), so the walk itself unpacks nothing.
 //
 // Every raw prediction is bit-identical to feature_fill + the ascending
 // dot, so decisions, expected bits and every Outcome field equal the serial
@@ -51,10 +53,12 @@ class ChallengeScreener {
     std::uint64_t next_index = 0;  ///< resume cursor: first_index + tried
   };
 
-  /// Receives each stable candidate in index order with its expected XOR
-  /// bit; returns true to count it toward the quota (false = caller-side
+  /// Receives each stable candidate in index order — its
+  /// sim::packed_words(stages) challenge words (LSB-first, bits at or past
+  /// the stage count zero; valid only during the call) — with its expected
+  /// XOR bit; returns true to count it toward the quota (false = caller-side
   /// rejection, e.g. the replay ledger — the walk continues).
-  using Sink = std::function<bool(Challenge&&, bool)>;
+  using Sink = std::function<bool(const std::uint64_t* words, bool expected)>;
 
   /// Screens the first `n_pufs` PUFs of `view`; the view must outlive the
   /// screener.

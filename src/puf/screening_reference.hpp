@@ -4,8 +4,9 @@
 // build its feature row with sim::feature_fill, take one ascending dot per
 // PUF and stop at the first PUF that calls it unstable. It is the oracle
 // the packed kernel in ChallengeScreener is bit-identical to, and it is
-// deliberately scalar. No library source includes this header: tests and
-// bench_auth_throughput use it.
+// deliberately scalar. A stable candidate is packed (store::pack_words) only
+// to hand it to the sink. No library source includes this header: tests
+// and bench_auth_throughput use it.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "common/error.hpp"
 #include "puf/model_view.hpp"
 #include "puf/screening.hpp"
+#include "puf/store/record.hpp"
 #include "sim/linear.hpp"
 
 namespace xpuf::puf {
@@ -38,6 +40,7 @@ inline ChallengeScreener::Outcome screen_reference(const ModelView& view, std::s
   std::vector<double> phi(features);
   std::vector<double> raw(n_pufs);
   Challenge candidate;
+  std::vector<std::uint64_t> key(sim::packed_words(stages));
   while (out.accepted < count && out.tried < max_attempts) {
     Rng rng = family.stream(first_index + out.tried);
     ChallengeScreener::candidate_into(candidate, stages, rng);
@@ -57,7 +60,8 @@ inline ChallengeScreener::Outcome screen_reference(const ModelView& view, std::s
     ++out.stable;
     bool bit = false;
     for (std::size_t p = 0; p < n_pufs; ++p) bit ^= raw[p] > 0.5;
-    if (sink(std::move(candidate), bit)) ++out.accepted;
+    store::pack_words(candidate, key.data());
+    if (sink(key.data(), bit)) ++out.accepted;
   }
   out.filled = out.accepted >= count;
   out.next_index = first_index + out.tried;

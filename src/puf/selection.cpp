@@ -4,6 +4,7 @@
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "puf/screening.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::puf {
 
@@ -64,9 +65,9 @@ SelectionResult ModelBasedSelector::select(std::size_t count, Rng& rng,
   const StreamFamily family(rng.fork_base());
   const ModelView view = ModelView::of(*model_);
   ChallengeScreener screener(view, n_pufs_);
-  const ChallengeScreener::Outcome outcome =
-      screener.screen(family, 0, count, max_attempts, [&](Challenge&& c, bool bit) {
-        result.challenges.push_back(std::move(c));
+  const ChallengeScreener::Outcome outcome = screener.screen(
+      family, 0, count, max_attempts, [&](const std::uint64_t* words, bool bit) {
+        sim::challenge_from_words(words, view.stages(), result.challenges.emplace_back());
         result.expected_responses.push_back(bit);
         return true;
       });

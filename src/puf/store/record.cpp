@@ -1,9 +1,11 @@
 #include "puf/store/record.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
 #include "linalg/vector.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::puf::store {
 
@@ -172,23 +174,43 @@ RecordStatus peek_model_shape(const std::uint8_t* payload, std::uint32_t len,
 
 // --- ledger payload ----------------------------------------------------------
 
-std::vector<std::uint8_t> encode_ledger(std::uint32_t stages,
-                                        const std::vector<std::string>& keys) {
-  XPUF_REQUIRE(stages > 0, "encode_ledger: zero stages");
+namespace {
+
+/// Reads `count` rows of `stages` stages into packed words; false when a row
+/// sets a bit past `stages` (no encoder writes one, so it is corruption).
+bool read_rows(const std::uint8_t* rows, std::uint64_t count, std::uint32_t stages,
+               std::vector<std::uint64_t>& words) {
   const std::uint64_t row = row_bytes_for(stages);
-  std::vector<std::uint8_t> out;
-  out.reserve(kLedgerFixedBytes + keys.size() * row);
-  put_u32(out, static_cast<std::uint32_t>(keys.size()));
-  put_u32(out, stages);
-  for (const std::string& key : keys) {
-    XPUF_REQUIRE(key.size() == row, "encode_ledger: key width != ceil(stages/8)");
-    out.insert(out.end(), key.begin(), key.end());
+  const std::size_t nw = sim::packed_words(stages);
+  const auto tail = static_cast<std::uint8_t>(stages % 8 == 0 ? 0xffu : (1u << (stages % 8)) - 1);
+  const std::size_t first = words.size();
+  words.resize(first + static_cast<std::size_t>(count) * nw);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint8_t* r = rows + i * row;
+    if ((r[row - 1] & ~tail) != 0) return false;
+    row_to_words(r, stages, words.data() + first + i * nw);
   }
+  return true;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_ledger(std::uint32_t stages, const std::uint64_t* words,
+                                        std::size_t count) {
+  XPUF_REQUIRE(stages > 0, "encode_ledger: zero stages");
+  XPUF_REQUIRE(words != nullptr || count == 0, "encode_ledger: null keys");
+  const std::uint64_t row = row_bytes_for(stages);
+  const std::size_t nw = sim::packed_words(stages);
+  std::vector<std::uint8_t> out;
+  out.reserve(kLedgerFixedBytes + count * row);
+  put_u32(out, static_cast<std::uint32_t>(count));
+  put_u32(out, stages);
+  for (std::size_t i = 0; i < count; ++i) words_to_row(words + i * nw, stages, out);
   return out;
 }
 
 RecordStatus decode_ledger(const std::uint8_t* payload, std::uint32_t len,
-                           std::uint32_t& stages, std::vector<std::string>& keys) {
+                           std::uint32_t& stages, std::vector<std::uint64_t>& words) {
   XPUF_REQUIRE(payload != nullptr || len == 0,
                "decode_ledger: null payload with nonzero length");
   RecordReader reader(payload, len);
@@ -199,13 +221,9 @@ RecordStatus decode_ledger(const std::uint8_t* payload, std::uint32_t len,
   const std::uint64_t row = row_bytes_for(stages);
   if (static_cast<std::uint64_t>(len) != kLedgerFixedBytes + count * row)
     return RecordStatus::kBadPayload;
-  keys.clear();
-  keys.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string key;
-    if (!reader.read_bytes(row, key)) return RecordStatus::kBadPayload;
-    keys.push_back(std::move(key));
-  }
+  words.clear();
+  if (!read_rows(payload + reader.position(), count, stages, words))
+    return RecordStatus::kBadPayload;
   return RecordStatus::kOk;
 }
 
@@ -222,13 +240,14 @@ constexpr std::uint32_t kPoolFixedBytes = 24;
 std::vector<std::uint8_t> encode_pool(const PoolPayload& pool) {
   XPUF_REQUIRE(pool.stages > 0 && pool.stages <= kMaxStagesPerModel,
                "encode_pool: stages out of range");
-  XPUF_REQUIRE(pool.expected.size() == pool.keys.size(),
+  const std::size_t nw = sim::packed_words(pool.stages);
+  XPUF_REQUIRE(pool.words.size() == pool.size() * nw,
                "encode_pool: one expected bit per pool entry");
   const std::uint64_t row = row_bytes_for(pool.stages);
-  const std::uint64_t bitmap = (pool.keys.size() + 7) / 8;
+  const std::uint64_t bitmap = (pool.size() + 7) / 8;
   std::vector<std::uint8_t> out;
-  out.reserve(kPoolFixedBytes + bitmap + pool.keys.size() * row);
-  put_u32(out, static_cast<std::uint32_t>(pool.keys.size()));
+  out.reserve(kPoolFixedBytes + bitmap + pool.size() * row);
+  put_u32(out, static_cast<std::uint32_t>(pool.size()));
   put_u32(out, pool.stages);
   put_u32(out, pool.epoch);
   put_u32(out, 0);  // reserved
@@ -237,10 +256,8 @@ std::vector<std::uint8_t> encode_pool(const PoolPayload& pool) {
   for (std::size_t i = 0; i < pool.expected.size(); ++i)
     if (pool.expected[i] != 0) bits[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
   out.insert(out.end(), bits.begin(), bits.end());
-  for (const std::string& key : pool.keys) {
-    XPUF_REQUIRE(key.size() == row, "encode_pool: key width != ceil(stages/8)");
-    out.insert(out.end(), key.begin(), key.end());
-  }
+  for (std::size_t i = 0; i < pool.size(); ++i)
+    words_to_row(pool.words.data() + i * nw, pool.stages, out);
   return out;
 }
 
@@ -268,13 +285,9 @@ RecordStatus decode_pool(const std::uint8_t* payload, std::uint32_t len,
   for (std::uint32_t i = 0; i < count; ++i)
     out.expected[i] =
         static_cast<std::uint8_t>((static_cast<std::uint8_t>(bits[i / 8]) >> (i % 8)) & 1u);
-  out.keys.clear();
-  out.keys.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string key;
-    if (!reader.read_bytes(row, key)) return RecordStatus::kBadPayload;
-    out.keys.push_back(std::move(key));
-  }
+  out.words.clear();
+  if (!read_rows(payload + reader.position(), count, out.stages, out.words))
+    return RecordStatus::kBadPayload;
   return RecordStatus::kOk;
 }
 
@@ -384,14 +397,27 @@ std::string pack_challenge(const Challenge& challenge) {
   return key;
 }
 
-Challenge unpack_challenge(const std::string& key, std::size_t bits) {
-  XPUF_REQUIRE(key.size() == row_bytes_for(bits),
-               "unpack_challenge: key width != ceil(bits/8)");
-  Challenge challenge(bits, 0);
-  for (std::size_t i = 0; i < bits; ++i)
-    challenge[i] =
-        static_cast<std::uint8_t>((static_cast<std::uint8_t>(key[i / 8]) >> (i % 8)) & 1u);
-  return challenge;
+void pack_words(const Challenge& challenge, std::uint64_t* words) {
+  XPUF_REQUIRE(!challenge.empty(), "pack_words: empty challenge");
+  std::fill(words, words + sim::packed_words(challenge.size()), std::uint64_t{0});
+  for (std::size_t i = 0; i < challenge.size(); ++i)
+    if (challenge[i] != 0) words[i / 64] |= std::uint64_t{1} << (i % 64);
+}
+
+void row_to_words(const std::uint8_t* row, std::size_t stages, std::uint64_t* words) {
+  XPUF_REQUIRE(stages >= 1, "row_to_words: zero stages");
+  std::fill(words, words + sim::packed_words(stages), std::uint64_t{0});
+  const std::uint64_t bytes = row_bytes_for(stages);
+  for (std::uint64_t b = 0; b < bytes; ++b)
+    words[b / 8] |= static_cast<std::uint64_t>(row[b]) << (8 * (b % 8));
+}
+
+void words_to_row(const std::uint64_t* words, std::size_t stages,
+                  std::vector<std::uint8_t>& out) {
+  XPUF_REQUIRE(stages >= 1, "words_to_row: zero stages");
+  const std::uint64_t bytes = row_bytes_for(stages);
+  for (std::uint64_t b = 0; b < bytes; ++b)
+    out.push_back(static_cast<std::uint8_t>((words[b / 8] >> (8 * (b % 8))) & 0xffu));
 }
 
 }  // namespace xpuf::puf::store

@@ -234,23 +234,28 @@ RecordStatus peek_model_shape(const std::uint8_t* payload, std::uint32_t len,
 std::uint64_t model_payload_bytes(std::uint32_t puf_count, std::uint32_t stages);
 
 /// ISSUE payload: u32 count, u32 stages, then count rows of
-/// ceil(stages / 8) bytes — the packed ledger keys, verbatim.
-std::vector<std::uint8_t> encode_ledger(std::uint32_t stages,
-                                        const std::vector<std::string>& keys);
+/// ceil(stages / 8) bytes — the packed ledger keys. In memory the `count`
+/// keys are packed words, sim::packed_words(stages) per key. A row with a
+/// bit set at or past `stages` decodes as kBadPayload.
+std::vector<std::uint8_t> encode_ledger(std::uint32_t stages, const std::uint64_t* words,
+                                        std::size_t count);
 RecordStatus decode_ledger(const std::uint8_t* payload, std::uint32_t len,
-                           std::uint32_t& stages, std::vector<std::string>& keys);
+                           std::uint32_t& stages, std::vector<std::uint64_t>& words);
 
 /// Decoded POOL payload: the device's pre-screened stable-challenge pool.
-/// `keys` are packed challenges (pack_challenge format), `expected[i]` the
-/// predicted XOR bit of keys[i], `cursor` the candidate-stream index the
+/// `words` holds the entries as packed challenge words, the ChallengeLedger
+/// key layout (sim::packed_words(stages) per entry), `expected[i]` the
+/// predicted XOR bit of entry i, `cursor` the candidate-stream index the
 /// next refill resumes screening from, `epoch` the pool generation — replay
 /// keeps only the record with the highest epoch per device.
 struct PoolPayload {
   std::uint32_t stages = 0;
   std::uint32_t epoch = 0;
   std::uint64_t cursor = 0;
-  std::vector<std::string> keys;
-  std::vector<std::uint8_t> expected;  ///< one 0/1 byte per key
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint8_t> expected;  ///< one 0/1 byte per entry
+
+  std::size_t size() const { return expected.size(); }
 };
 
 /// POOL payload: u32 count, u32 stages, u32 epoch, u32 reserved(0),
@@ -298,10 +303,20 @@ RecordStatus decode_manifest(const std::uint8_t* data, std::uint64_t size,
                              std::uint32_t& n_shards);
 
 // --- packed challenge keys --------------------------------------------------
-// The in-memory replay ledger stores challenges in the same packed form the
-// log uses: ceil(stages / 8) bytes, bit i of byte i/8 = challenge bit i.
+// A packed row is ceil(stages / 8) bytes, bit i of byte i/8 = challenge bit
+// i. In memory the same bits live in sim::packed_words(stages) u64 words
+// (bit i of word i/64), the screener's layout; a row is the first
+// ceil(stages / 8) little-endian bytes of its words.
 
 std::string pack_challenge(const Challenge& challenge);
-Challenge unpack_challenge(const std::string& key, std::size_t bits);
+
+/// Writes the challenge's sim::packed_words(challenge.size()) key words.
+void pack_words(const Challenge& challenge, std::uint64_t* words);
+
+/// Row <-> words for one key of `stages` stages. row_to_words overwrites
+/// sim::packed_words(stages) words; words_to_row appends the row's bytes.
+void row_to_words(const std::uint8_t* row, std::size_t stages, std::uint64_t* words);
+void words_to_row(const std::uint64_t* words, std::size_t stages,
+                  std::vector<std::uint8_t>& out);
 
 }  // namespace xpuf::puf::store

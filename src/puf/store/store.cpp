@@ -1,10 +1,12 @@
 #include "puf/store/store.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::puf::store {
 
@@ -19,18 +21,19 @@ std::string shard_gauge_name(std::uint32_t k) {
   return "db.shard_ledger_size." + std::to_string(k);
 }
 
-/// Appends ISSUE records covering [first, last), chunked so each record's
-/// payload stays bounded.
-template <typename Iter>
+/// Appends ISSUE records covering `words` (packed challenge words,
+/// sim::packed_words(stages) per key), chunked so each record's payload
+/// stays bounded.
 void append_issue_records(std::vector<std::uint8_t>& out, std::uint64_t device_id,
-                          std::uint32_t stages, Iter first, Iter last) {
+                          std::uint32_t stages, const std::vector<std::uint64_t>& words) {
   XPUF_REQUIRE(stages > 0, "issue records need the model geometry");
-  std::vector<std::string> chunk;
-  while (first != last) {
-    chunk.clear();
-    for (std::size_t n = 0; n < kLedgerKeysPerRecord && first != last; ++n, ++first)
-      chunk.push_back(*first);
-    encode_record(out, OpType::kIssue, device_id, encode_ledger(stages, chunk));
+  const std::size_t nw = sim::packed_words(stages);
+  XPUF_REQUIRE(words.size() % nw == 0, "issued keys must be whole packed challenges");
+  const std::size_t count = words.size() / nw;
+  for (std::size_t first = 0; first < count; first += kLedgerKeysPerRecord) {
+    const std::size_t n = std::min(kLedgerKeysPerRecord, count - first);
+    encode_record(out, OpType::kIssue, device_id,
+                  encode_ledger(stages, words.data() + first * nw, n));
   }
 }
 
@@ -105,7 +108,7 @@ void EnrollmentStore::replay_shard(std::uint32_t k) {
           throw corrupt(offset, "malformed model payload");
         index_[view.device_id] =
             DeviceRecord{k, view.begin, view.end - view.begin, puf_count, stages};
-        ledgers_[view.device_id];
+        ledgers_.insert_or_assign(view.device_id, ChallengeLedger(stages));
         break;
       }
       case OpType::kRevoke: {
@@ -129,14 +132,17 @@ void EnrollmentStore::replay_shard(std::uint32_t k) {
                                     std::to_string(view.device_id) +
                                     " — issued challenges must never be forgotten");
         std::uint32_t stages = 0;
-        std::vector<std::string> keys;
-        if (decode_ledger(view.payload, view.payload_len, stages, keys) != RecordStatus::kOk)
+        std::vector<std::uint64_t> words;
+        if (decode_ledger(view.payload, view.payload_len, stages, words) != RecordStatus::kOk)
           throw corrupt(offset, "malformed ledger payload");
         if (stages != index_.at(view.device_id).stages)
           throw corrupt(offset, "ledger geometry does not match the registered model");
+        const std::size_t nw = sim::packed_words(stages);
+        ChallengeLedger& ledger = it->second;
+        ledger.reserve(ledger.size() + words.size() / nw);
         std::uint64_t inserted = 0;
-        for (std::string& key : keys)
-          if (it->second.insert(std::move(key)).second) ++inserted;
+        for (std::size_t at = 0; at < words.size(); at += nw)
+          if (ledger.insert(words.data() + at)) ++inserted;
         shard_ledger_total_[k].fetch_add(inserted, std::memory_order_relaxed);
         break;
       }
@@ -154,11 +160,10 @@ void EnrollmentStore::replay_shard(std::uint32_t k) {
         // the already-issued prefix on the first post-crash drain.
         if (const auto pit = pools_.find(view.device_id); pit != pools_.end())
           pool_undrained_ -= pit->second.count - pit->second.head;
-        pool_undrained_ += pool.keys.size();
+        pool_undrained_ += pool.size();
         pools_[view.device_id] =
             PoolSlot{k, view.begin, view.end - view.begin,
-                     static_cast<std::uint32_t>(pool.keys.size()), 0, pool.epoch,
-                     pool.cursor};
+                     static_cast<std::uint32_t>(pool.size()), 0, pool.epoch, pool.cursor};
         break;
       }
       case OpType::kPad: {
@@ -230,7 +235,7 @@ void EnrollmentStore::register_device(ServerModel model) {
   // falling back to decode once the LRU evicts it. A shard never mapped
   // (a store created empty) keeps serving through the decode path.
   if (maps_[k] != nullptr) remap_shard(k);
-  ledgers_[id];
+  ledgers_.insert_or_assign(id, ChallengeLedger(model.stages()));
   auto shared = std::make_shared<const ServerModel>(std::move(model));
   {
     std::lock_guard<std::mutex> lock(*cache_mu_);
@@ -362,10 +367,10 @@ void EnrollmentStore::record_pool(std::uint64_t device_id, const PoolPayload& po
   std::lock_guard<std::mutex> lock(*pool_mu_);
   if (const auto pit = pools_.find(device_id); pit != pools_.end())
     pool_undrained_ -= pit->second.count - pit->second.head;
-  pool_undrained_ += pool.keys.size();
+  pool_undrained_ += pool.size();
   pools_[device_id] = PoolSlot{k, end - bytes.size(), bytes.size(),
-                               static_cast<std::uint32_t>(pool.keys.size()), 0,
-                               pool.epoch, pool.cursor};
+                               static_cast<std::uint32_t>(pool.size()), 0, pool.epoch,
+                               pool.cursor};
 }
 
 bool EnrollmentStore::pool_slot(std::uint64_t device_id, PoolSlot& out) const {
@@ -394,19 +399,17 @@ std::uint64_t EnrollmentStore::pool_entries_total() const {
 bool EnrollmentStore::read_pool(std::uint64_t device_id, PoolPayload& out) const {
   PoolSlot slot;
   if (!pool_slot(device_id, slot)) return false;
-  std::vector<std::string> keys;
-  std::vector<std::uint8_t> expected;
-  read_pool_slice(device_id, 0, slot.count, keys, expected);
+  out.words.clear();
+  out.expected.clear();
+  read_pool_slice(device_id, 0, slot.count, out.words, out.expected);
   out.stages = index_.at(device_id).stages;
   out.epoch = slot.epoch;
   out.cursor = slot.cursor;
-  out.keys = std::move(keys);
-  out.expected = std::move(expected);
   return true;
 }
 
 void EnrollmentStore::read_pool_slice(std::uint64_t device_id, std::uint32_t first,
-                                      std::uint32_t n, std::vector<std::string>& keys,
+                                      std::uint32_t n, std::vector<std::uint64_t>& words,
                                       std::vector<std::uint8_t>& expected) const {
   PoolSlot slot;
   XPUF_REQUIRE(pool_slot(device_id, slot), "device has no pool");
@@ -450,36 +453,39 @@ void EnrollmentStore::read_pool_slice(std::uint64_t device_id, std::uint32_t fir
   if (!reader.skip(16) || reader.remaining() != bitmap + count * row) throw corrupt();
   const std::uint8_t* bits = view.payload + reader.position();
   const std::uint8_t* rows = bits + bitmap;
-  keys.reserve(keys.size() + n);
+  const std::size_t nw = sim::packed_words(stages);
+  const std::size_t out_at = words.size();
+  words.resize(out_at + static_cast<std::size_t>(n) * nw);
   expected.reserve(expected.size() + n);
-  for (std::uint32_t i = first; i < first + n; ++i) {
-    keys.emplace_back(reinterpret_cast<const char*>(rows + i * row),
-                      static_cast<std::size_t>(row));
-    expected.push_back(static_cast<std::uint8_t>((bits[i / 8] >> (i % 8)) & 1u));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t e = first + i;
+    row_to_words(rows + e * row, stages, words.data() + out_at + i * nw);
+    expected.push_back(static_cast<std::uint8_t>((bits[e / 8] >> (e % 8)) & 1u));
   }
 }
 
-std::set<std::string>& EnrollmentStore::ledger(std::uint64_t device_id) {
+ChallengeLedger& EnrollmentStore::ledger(std::uint64_t device_id) {
   const auto it = ledgers_.find(device_id);
   XPUF_REQUIRE(it != ledgers_.end(), "unknown device id");
   return it->second;
 }
 
-const std::set<std::string>& EnrollmentStore::ledger(std::uint64_t device_id) const {
+const ChallengeLedger& EnrollmentStore::ledger(std::uint64_t device_id) const {
   const auto it = ledgers_.find(device_id);
   XPUF_REQUIRE(it != ledgers_.end(), "unknown device id");
   return it->second;
 }
 
 void EnrollmentStore::record_issued(std::uint64_t device_id, std::uint32_t stages,
-                                    const std::vector<std::string>& fresh) {
+                                    const std::vector<std::uint64_t>& fresh) {
   XPUF_REQUIRE(knows(device_id), "unknown device id");
   if (fresh.empty()) return;
   const std::uint32_t k = log_.shard_of(device_id);
   std::vector<std::uint8_t> bytes;
-  append_issue_records(bytes, device_id, stages, fresh.begin(), fresh.end());
+  append_issue_records(bytes, device_id, stages, fresh);
   append_record(k, bytes);
-  shard_ledger_total_[k].fetch_add(fresh.size(), std::memory_order_relaxed);
+  shard_ledger_total_[k].fetch_add(fresh.size() / sim::packed_words(stages),
+                                   std::memory_order_relaxed);
   refresh_ledger_gauges(k);
 }
 
@@ -521,8 +527,9 @@ void EnrollmentStore::compact() {
       updated.offset = fresh.size();
       fresh.insert(fresh.end(), record_bytes.begin(), record_bytes.end());
       rewritten[id] = updated;
-      const std::set<std::string>& keys = ledgers_.at(id);
-      append_issue_records(fresh, id, rec.stages, keys.begin(), keys.end());
+      // Keys in packed-row byte order, so a compacted shard's bytes depend
+      // only on the ledger's contents, never on its hash layout.
+      append_issue_records(fresh, id, rec.stages, ledgers_.at(id).sorted_words());
       PoolSlot slot;
       if (pool_slot(id, slot)) {
         // The latest POOL record also travels verbatim; head/epoch/cursor

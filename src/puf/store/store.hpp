@@ -14,8 +14,9 @@
 // for a complete new one.
 //
 // Memory model: the index (device -> shard/offset/geometry) and the
-// issued-challenge ledgers stay resident; model weights — the bulk of the
-// bytes — are decoded on demand through a capacity-bounded LRU cache
+// issued-challenge ledgers (one flat ChallengeLedger of packed challenge
+// words per device, 16-33 B per issued key of <= 64 stages) stay
+// resident; model weights — the bulk of the bytes — are decoded on demand through a capacity-bounded LRU cache
 // (db.cache_hits / db.cache_misses / db.cache_evictions), so serving a
 // million-device fleet needs cache_capacity models in RAM, not a million.
 // The model_view() path goes further: a cache miss whose REGISTER record
@@ -40,11 +41,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "puf/store/cache.hpp"
+#include "puf/store/ledger.hpp"
 #include "puf/store/log.hpp"
 #include "puf/store/mmap_file.hpp"
 #include "puf/store/record.hpp"
@@ -132,14 +133,15 @@ class EnrollmentStore {
   /// ParseError.
   bool read_pool(std::uint64_t device_id, PoolPayload& out) const;
 
-  /// Appends entries [first, first + n) of the device's pool — packed keys
-  /// and expected bits — to `keys`/`expected`. The stored record is
+  /// Appends entries [first, first + n) of the device's pool — packed
+  /// challenge words (sim::packed_words(stages) per entry) and expected
+  /// bits — to `words`/`expected`. The stored record is
   /// crc-checked on every read (served from the shard mapping when the
   /// record lies inside it, pread otherwise), and only the requested slice
   /// is materialized, so a drain of c challenges costs O(record + c), not
   /// O(pool) allocations. Requires first + n <= the slot's count.
   void read_pool_slice(std::uint64_t device_id, std::uint32_t first, std::uint32_t n,
-                       std::vector<std::string>& keys,
+                       std::vector<std::uint64_t>& words,
                        std::vector<std::uint8_t>& expected) const;
 
   /// Copies the device's pool slot into `out`; false when it has none.
@@ -151,24 +153,27 @@ class EnrollmentStore {
   /// Undrained pool entries across the fleet (sum of count - head).
   std::uint64_t pool_entries_total() const;
 
-  /// The device's memory-resident replay ledger (packed challenge keys).
-  std::set<std::string>& ledger(std::uint64_t device_id);
-  const std::set<std::string>& ledger(std::uint64_t device_id) const;
+  /// The device's memory-resident replay ledger: its issued challenges as
+  /// packed challenge words (store/ledger.hpp).
+  ChallengeLedger& ledger(std::uint64_t device_id);
+  const ChallengeLedger& ledger(std::uint64_t device_id) const;
 
-  /// Acknowledges freshly issued challenges: appends one ISSUE
-  /// record with `fresh` (already inserted into ledger() by the caller) and
+  /// Acknowledges freshly issued challenges: appends one ISSUE record with
+  /// `fresh` — packed challenge words, sim::packed_words(stages) per
+  /// challenge, already inserted into ledger() by the caller — and
   /// updates the fleet-wide + per-shard ledger gauges. The append's flush
   /// is the acknowledgement point the torture test pins — it survives
   /// process death, not power loss (ROADMAP item 5).
   void record_issued(std::uint64_t device_id, std::uint32_t stages,
-                     const std::vector<std::string>& fresh);
+                     const std::vector<std::uint64_t>& fresh);
 
   /// Fleet-wide issued-challenge total (sum of per-shard totals).
   std::uint64_t issued_total() const;
   std::uint64_t shard_issued_total(std::uint32_t k) const;
 
   /// Rewrites every shard to its minimal form — one REGISTER record plus
-  /// chunked ISSUE records per live device, revoked devices gone — each
+  /// chunked ISSUE records per live device (keys in ascending packed-row
+  /// byte order, ChallengeLedger::sorted_words), revoked devices gone — each
   /// shard committed via write-temp-then-rename. Register record bytes are
   /// copied verbatim, so models stay bit-exact without being decoded.
   void compact();
@@ -203,7 +208,7 @@ class EnrollmentStore {
   /// Handed-out views co-own their mapping, so swapping a shard's entry
   /// never invalidates a live view.
   std::vector<std::shared_ptr<const MappedFile>> maps_;
-  std::map<std::uint64_t, std::set<std::string>> ledgers_;
+  std::map<std::uint64_t, ChallengeLedger> ledgers_;
   mutable ModelCache cache_;
   std::unique_ptr<std::mutex[]> shard_mu_;
   mutable std::unique_ptr<std::mutex> cache_mu_;

@@ -32,6 +32,7 @@
 #include "puf/screening_reference.hpp"
 #include "puf/store/record.hpp"
 #include "puf/store/store.hpp"
+#include "sim/linear.hpp"
 #include "sim/population.hpp"
 
 namespace xpuf::puf {
@@ -104,9 +105,9 @@ Walk run_walk(const ModelView& view, std::size_t n_pufs, bool reference,
               const std::function<bool(std::size_t)>& keep = nullptr) {
   Walk w;
   std::size_t seen = 0;
-  const ChallengeScreener::Sink sink = [&](Challenge&& c, bool bit) {
+  const ChallengeScreener::Sink sink = [&](const std::uint64_t* words, bool bit) {
     if (keep && !keep(seen++)) return false;
-    w.challenges.push_back(std::move(c));
+    sim::challenge_from_words(words, view.stages(), w.challenges.emplace_back());
     w.bits.push_back(bit);
     return true;
   };
@@ -304,7 +305,7 @@ TEST(ScreeningEquivalence, IssueLiveIsBitIdenticalAcrossScreeningModes) {
   const ServerModel model = enroll_model();
   db.register_device(enroll_model());
   const ModelView view = ModelView::of(model);
-  std::set<std::string> ledger;
+  std::set<std::string> ledger;  // the former ledger form, as the oracle
   for (int round = 0; round < 4; ++round) {
     Rng kernel_rng(900 + round);
     Rng reference_rng(900 + round);
@@ -312,7 +313,9 @@ TEST(ScreeningEquivalence, IssueLiveIsBitIdenticalAcrossScreeningModes) {
     ChallengeBatch b;
     const ChallengeScreener::Outcome out = screen_reference(
         view, 3, StreamFamily(reference_rng.fork_base()), 0, 16,
-        db.config().policy.max_selection_attempts, [&](Challenge&& c, bool bit) {
+        db.config().policy.max_selection_attempts, [&](const std::uint64_t* words, bool bit) {
+          Challenge c;
+          sim::challenge_from_words(words, view.stages(), c);
           if (!ledger.insert(store::pack_challenge(c)).second) return false;
           b.challenges.push_back(std::move(c));
           b.expected.push_back(bit);
@@ -548,9 +551,10 @@ TEST(IssuancePool, RefillNeverPoolsTheSameChallengeTwice) {
     db.register_device(make_plain_model(0, 8));
     store::PoolPayload pool;
     ASSERT_TRUE(db.store().read_pool(0, pool));
-    ASSERT_EQ(pool.keys.size(), kTarget);
-    const std::set<std::string> distinct(pool.keys.begin(), pool.keys.end());
-    EXPECT_EQ(distinct.size(), pool.keys.size()) << "a challenge was pooled twice";
+    ASSERT_EQ(pool.size(), kTarget);
+    ASSERT_EQ(pool.words.size(), kTarget);  // 8 stages: one word per entry
+    const std::set<std::uint64_t> distinct(pool.words.begin(), pool.words.end());
+    EXPECT_EQ(distinct.size(), pool.size()) << "a challenge was pooled twice";
 
     const MetricsSnapshot before = MetricsRegistry::global().snapshot();
     std::set<Challenge> seen;
@@ -571,6 +575,33 @@ TEST(IssuancePool, RefillNeverPoolsTheSameChallengeTwice) {
   fs::remove_all(dir);
 }
 
+// A refill resumes the candidate stream past everything already pooled, but
+// in a small challenge space that stream repeats challenges the device was
+// already issued. The refill must skip them against the replay ledger, so
+// no drain ever meets a replay in a crash-free run.
+TEST(IssuancePool, RefillSkipsChallengesTheDeviceWasAlreadyIssued) {
+  DatabaseConfig cfg = pooled_config(16);  // every issue drains one pool
+  cfg.pool.low_water = 16;                 // ... and refills it
+  ServerDatabase db(cfg);
+  db.register_device(make_plain_model(0, 8));
+  std::set<Challenge> seen;
+  std::size_t rounds = 0;
+  for (; rounds < 12; ++rounds) {
+    Rng rng(rounds);
+    ChallengeBatch batch;
+    try {
+      batch = db.issue(0, rng);
+    } catch (const NumericalError&) {
+      break;  // 256 challenges: the stable ones run out
+    }
+    EXPECT_EQ(batch.replay_rejected, 0u) << "round " << rounds;
+    for (const auto& c : batch.challenges)
+      EXPECT_TRUE(seen.insert(c).second) << "challenge reused in round " << rounds;
+  }
+  EXPECT_GE(rounds, 3u) << "too few refills to exercise the ledger check";
+  EXPECT_EQ(db.issued_count(0), seen.size());
+}
+
 // --- POOL records in the store ----------------------------------------------
 
 store::PoolPayload make_pool_payload(std::uint32_t stages, std::size_t entries) {
@@ -582,7 +613,8 @@ store::PoolPayload make_pool_payload(std::uint32_t stages, std::size_t entries) 
     Challenge c(stages);
     for (std::size_t j = 0; j < stages; ++j)
       c[j] = static_cast<std::uint8_t>((i + j) % 2);
-    pool.keys.push_back(store::pack_challenge(c));
+    pool.words.resize(pool.words.size() + sim::packed_words(stages));
+    store::pack_words(c, pool.words.data() + pool.words.size() - sim::packed_words(stages));
     pool.expected.push_back(static_cast<std::uint8_t>(i % 2));
   }
   return pool;
@@ -592,7 +624,7 @@ void expect_pools_equal(const store::PoolPayload& a, const store::PoolPayload& b
   EXPECT_EQ(a.stages, b.stages);
   EXPECT_EQ(a.epoch, b.epoch);
   EXPECT_EQ(a.cursor, b.cursor);
-  EXPECT_EQ(a.keys, b.keys);
+  EXPECT_EQ(a.words, b.words);
   EXPECT_EQ(a.expected, b.expected);
 }
 
@@ -634,12 +666,12 @@ TEST(PoolRecord, RoundTripsThroughStoreCompactionAndReplay) {
     ASSERT_TRUE(s.read_pool(7, got));
     expect_pools_equal(pool, got);
     // Slices materialize exactly the asked-for window.
-    std::vector<std::string> keys;
+    std::vector<std::uint64_t> words;
     std::vector<std::uint8_t> expected;
-    s.read_pool_slice(7, 3, 4, keys, expected);
-    ASSERT_EQ(keys.size(), 4u);
+    s.read_pool_slice(7, 3, 4, words, expected);
+    ASSERT_EQ(words.size(), 4u);  // 13 stages: one word per entry
     for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(keys[i], pool.keys[3 + i]);
+      EXPECT_EQ(words[i], pool.words[3 + i]);
       EXPECT_EQ(expected[i], pool.expected[3 + i]);
     }
   }
@@ -699,9 +731,10 @@ TEST(MappedServing, RegisterRecordFloatRegionsStayEightByteAligned) {
   for (std::uint64_t id = 0; id < 5; ++id) {
     s.register_device(make_plain_model(id, 13));
     Challenge c(13, static_cast<std::uint8_t>(id % 2));
-    const std::string key = store::pack_challenge(c);
-    s.ledger(id).insert(key);
-    s.record_issued(id, 13, {key});
+    std::vector<std::uint64_t> key(1);
+    store::pack_words(c, key.data());
+    s.ledger(id).insert(key.data());
+    s.record_issued(id, 13, key);
     // REGISTER payload: 8 bytes of geometry, then the f64 region — at
     // record offset + header(16) + 8. The pad record in front guarantees
     // this lands on an 8-byte boundary for every device.

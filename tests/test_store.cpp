@@ -3,6 +3,7 @@
 // the LRU model cache and its metrics, and compaction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -13,8 +14,10 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
 #include "puf/store/record.hpp"
 #include "puf/store/store.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::puf::store {
 namespace {
@@ -160,17 +163,24 @@ TEST(StoreCodec, ModelPayloadRoundTripsBitExactly) {
 }
 
 TEST(StoreCodec, LedgerPayloadRoundTrips) {
-  const std::vector<std::string> keys = {std::string("\x01\x02", 2),
-                                         std::string("\xff\x00", 2),
-                                         std::string("\x10\x20", 2)};
-  const std::vector<std::uint8_t> payload = encode_ledger(12, keys);  // row = 2 bytes
+  const std::vector<std::uint64_t> keys = {0x0201, 0x00ff, 0x0a10};
+  const std::vector<std::uint8_t> payload = encode_ledger(12, keys.data(), keys.size());
+  // u32 count, u32 stages, then 2-byte rows: the low bytes of each word.
+  const std::vector<std::uint8_t> expect_rows = {0x01, 0x02, 0xff, 0x00, 0x10, 0x0a};
+  ASSERT_EQ(payload.size(), 8u + expect_rows.size());
+  EXPECT_TRUE(std::equal(expect_rows.begin(), expect_rows.end(), payload.begin() + 8));
   std::uint32_t stages = 0;
-  std::vector<std::string> out;
+  std::vector<std::uint64_t> out;
   ASSERT_EQ(decode_ledger(payload.data(), static_cast<std::uint32_t>(payload.size()),
                           stages, out),
             RecordStatus::kOk);
   EXPECT_EQ(stages, 12u);
   EXPECT_EQ(out, keys);
+  // A row bit past the 12th stage is corruption, never a key.
+  std::vector<std::uint8_t> dirty = payload;
+  dirty[9] |= 0x10;
+  EXPECT_EQ(decode_ledger(dirty.data(), static_cast<std::uint32_t>(dirty.size()), stages, out),
+            RecordStatus::kBadPayload);
 }
 
 TEST(StoreCodec, PackedChallengeRoundTripsEveryWidth) {
@@ -179,7 +189,18 @@ TEST(StoreCodec, PackedChallengeRoundTripsEveryWidth) {
     for (std::size_t i = 0; i < bits; ++i) c[i] = static_cast<std::uint8_t>((i * 7 + 3) % 2);
     const std::string key = pack_challenge(c);
     EXPECT_EQ(key.size(), (bits + 7) / 8);
-    EXPECT_EQ(unpack_challenge(key, bits), c) << bits << " bits";
+    // The row, its key words and the challenge convert losslessly.
+    std::vector<std::uint64_t> words(sim::packed_words(bits));
+    row_to_words(reinterpret_cast<const std::uint8_t*>(key.data()), bits, words.data());
+    std::vector<std::uint64_t> direct(words.size());
+    pack_words(c, direct.data());
+    EXPECT_EQ(words, direct) << bits << " bits";
+    std::vector<std::uint8_t> row;
+    words_to_row(words.data(), bits, row);
+    EXPECT_EQ(std::string(row.begin(), row.end()), key) << bits << " bits";
+    Challenge back;
+    sim::challenge_from_words(words.data(), bits, back);
+    EXPECT_EQ(back, c) << bits << " bits";
   }
 }
 
@@ -204,8 +225,10 @@ TEST_F(StoreDirTest, RegisterServeRevokeSurviveReopen) {
     EnrollmentStore store = EnrollmentStore::open(dir_, opts);
     for (std::uint64_t id : {0u, 1u, 2u, 5u, 9u}) store.register_device(make_model(id, 2, 8));
     EXPECT_EQ(store.device_count(), 5u);
-    store.ledger(5).insert(pack_challenge(Challenge{1, 0, 1, 0, 1, 0, 1, 0}));
-    store.record_issued(5, 8, {pack_challenge(Challenge{1, 0, 1, 0, 1, 0, 1, 0})});
+    std::vector<std::uint64_t> key(1);
+    pack_words(Challenge{1, 0, 1, 0, 1, 0, 1, 0}, key.data());
+    store.ledger(5).insert(key.data());
+    store.record_issued(5, 8, key);
     store.revoke_device(2);
   }
   EnrollmentStore reopened = EnrollmentStore::open(dir_, opts);
@@ -326,10 +349,9 @@ TEST_F(StoreDirTest, CompactionDropsRevokedHistoryAndKeepsModelsBitExact) {
   EnrollmentStore store = EnrollmentStore::open(dir_, opts);
   for (std::uint64_t id = 0; id < 6; ++id) store.register_device(make_model(id, 2, 8));
   for (std::uint64_t id = 0; id < 6; ++id) {
-    std::vector<std::string> fresh;
-    for (std::uint8_t i = 0; i < 4; ++i)
-      fresh.push_back(std::string(1, static_cast<char>(i + id)));
-    for (const auto& key : fresh) store.ledger(id).insert(key);
+    std::vector<std::uint64_t> fresh;
+    for (std::uint64_t i = 0; i < 4; ++i) fresh.push_back(i + id);
+    for (const auto& key : fresh) store.ledger(id).insert(&key);
     store.record_issued(id, 8, fresh);
   }
   store.revoke_device(4);
@@ -363,10 +385,9 @@ TEST_F(StoreDirTest, PerShardLedgerTotalsSumToTheFleetGauge) {
   EnrollmentStore store = EnrollmentStore::open(dir_, opts);
   for (std::uint64_t id = 0; id < 4; ++id) store.register_device(make_model(id, 1, 8));
   for (std::uint64_t id = 0; id < 4; ++id) {
-    std::vector<std::string> fresh;
-    for (std::uint8_t i = 0; i <= id; ++i)
-      fresh.push_back(std::string(1, static_cast<char>(i)));
-    for (const auto& key : fresh) store.ledger(id).insert(key);
+    std::vector<std::uint64_t> fresh;
+    for (std::uint64_t i = 0; i <= id; ++i) fresh.push_back(i);
+    for (const auto& key : fresh) store.ledger(id).insert(&key);
     store.record_issued(id, 8, fresh);
   }
   // Devices 0,2 -> shard 0 (1 + 3 keys); devices 1,3 -> shard 1 (2 + 4 keys).
@@ -381,12 +402,65 @@ TEST_F(StoreDirTest, PerShardLedgerTotalsSumToTheFleetGauge) {
   EXPECT_EQ(registry.gauge("db.shard_ledger_size.1").get(), 6.0);
 }
 
+// Compaction writes each ledger's ISSUE keys in ascending packed-row byte
+// order — the walk of the std::set<std::string> ledger it replaced — so a
+// compacted shard's bytes depend on the ledger's contents alone.
+TEST_F(StoreDirTest, CompactionWritesIssueKeysInAscendingByteOrder) {
+  StoreOptions opts;
+  opts.n_shards = 1;
+  EnrollmentStore store = EnrollmentStore::open(dir_, opts);
+  const std::size_t stages[] = {13, 100};  // 2-byte rows; 2-word keys
+  std::map<std::uint64_t, std::set<std::string>> oracle;
+  Rng rng(77);
+  for (std::uint64_t id = 0; id < 2; ++id) {
+    store.register_device(make_model(id, 1, stages[id]));
+    const std::size_t nw = (stages[id] + 63) / 64;
+    for (int batch = 0; batch < 10; ++batch) {
+      std::vector<std::uint64_t> fresh;
+      for (int i = 0; i < 50; ++i) {
+        Challenge c(stages[id]);
+        for (auto& bit : c) bit = static_cast<std::uint8_t>(rng.next_u64() & 1u);
+        const std::size_t at = fresh.size();
+        fresh.resize(at + nw);
+        pack_words(c, fresh.data() + at);
+        if (!store.ledger(id).insert(fresh.data() + at)) {
+          fresh.resize(at);
+          continue;
+        }
+        oracle[id].insert(pack_challenge(c));
+      }
+      store.record_issued(id, static_cast<std::uint32_t>(stages[id]), fresh);
+    }
+  }
+  store.compact();
+  std::vector<std::uint8_t> bytes;
+  {
+    std::ifstream in(dir_ + "/shard_0.log", std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::map<std::uint64_t, std::vector<std::string>> written;
+  for (std::uint64_t offset = 0; offset < bytes.size();) {
+    RecordView view;
+    ASSERT_EQ(decode_record(bytes.data(), bytes.size(), offset, view), RecordStatus::kOk);
+    offset = view.end;
+    if (view.op != OpType::kIssue) continue;
+    const std::size_t row = (stages[view.device_id] + 7) / 8;
+    for (std::size_t at = 8; at < view.payload_len; at += row)
+      written[view.device_id].emplace_back(reinterpret_cast<const char*>(view.payload + at), row);
+  }
+  for (std::uint64_t id = 0; id < 2; ++id) {
+    const std::vector<std::string> walk(oracle[id].begin(), oracle[id].end());
+    EXPECT_EQ(written[id], walk) << "device " << id;
+    EXPECT_EQ(store.ledger(id).size(), walk.size());
+  }
+}
+
 // --- truncation torture -----------------------------------------------------
 
 /// Expected store state after a prefix of the op history.
 struct ExpectedState {
   std::uint64_t offset = 0;  ///< durable high-water mark after the op
-  std::map<std::uint64_t, std::set<std::string>> ledgers;  ///< known id -> keys
+  std::map<std::uint64_t, ChallengeLedger> ledgers;  ///< known id -> keys
 };
 
 // Cuts the single-shard log at EVERY byte offset and reopens the store. Each
@@ -408,14 +482,14 @@ TEST_F(StoreDirTest, TruncationAtEveryByteRecoversTheExactAcknowledgedPrefix) {
   };
   const auto issue = [](EnrollmentStore& store, std::uint64_t id,
                         std::initializer_list<std::uint8_t> seeds) {
-    std::vector<std::string> fresh;
+    std::vector<std::uint64_t> fresh;
     for (std::uint8_t seed : seeds) {
       Challenge c(8);
       for (std::size_t i = 0; i < 8; ++i)
         c[i] = static_cast<std::uint8_t>((seed >> i) & 1u);
-      fresh.push_back(pack_challenge(c));
+      pack_words(c, &fresh.emplace_back());
     }
-    for (const auto& key : fresh) store.ledger(id).insert(key);
+    for (const auto& key : fresh) store.ledger(id).insert(&key);
     store.record_issued(id, 8, fresh);
   };
 
@@ -468,7 +542,7 @@ TEST_F(StoreDirTest, TruncationAtEveryByteRecoversTheExactAcknowledgedPrefix) {
     const std::uint64_t truncations_before = truncations.total();
     EnrollmentStore recovered = EnrollmentStore::open(torn_dir, opts);
 
-    std::map<std::uint64_t, std::set<std::string>> got;
+    std::map<std::uint64_t, ChallengeLedger> got;
     for (const std::uint64_t id : recovered.device_ids()) got[id] = recovered.ledger(id);
     EXPECT_EQ(got, expected->ledgers) << "cut at byte " << cut;
     EXPECT_EQ(recovered.shard_size(0), expected->offset)

@@ -2,7 +2,9 @@
 """Validates a bench timing artifact (bench_out/<name>_timing.json).
 
 Every BenchTimer writes the same flat record: name/seconds/threads/items
-plus any bench-specific numeric fields attached via set_field. This gate
+plus any bench-specific numeric fields attached via set_field, and a
+recorded run may name its host and invocation in the string fields
+cpu_model and command. Any other non-numeric field fails. This gate
 checks that structural schema, and — when the record carries an A/B pair
 (scalar_seconds / batched_seconds from bench_scan_throughput --mode both,
 or materialized_seconds / streaming_seconds from bench_enroll_throughput)
@@ -21,6 +23,10 @@ Usage: check_bench_regression.py <timing.json> [--min-speedup X]
 """
 import json
 import sys
+
+# Run metadata a record may carry as strings; every other field but 'name'
+# is a number.
+STRING_FIELDS = ("cpu_model", "command")
 
 
 def fail(msg: str) -> None:
@@ -61,6 +67,10 @@ def main() -> None:
         fail("'threads' is below one")
     for key, value in record.items():
         if key == "name":
+            continue
+        if key in STRING_FIELDS:
+            if not isinstance(value, str):
+                fail(f"metadata field '{key}' is not a string")
             continue
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             fail(f"extra field '{key}' is not numeric")

@@ -29,7 +29,7 @@
 #             both asserted bit-identical in-run, with the zero-drift and
 #             flat-RSS audits in the exit code); gates: auth.*/db.mmap_*
 #             counter schema (--expect-auth) and both A/B timing pairs
-#             (the screening pair at a 3.0x floor)
+#             (the screening pair at a 5.0x floor)
 #   scalar    -DXPUF_BATCH_SIMD=OFF build (build-scalar/): the portable
 #             sign-flip and tile kernels held to the same bit-identity
 #             suites (test_screening, test_linear, test_selection,
