@@ -9,7 +9,7 @@
 // zero-metrics-drift audits run in-process (the exit code IS the audit):
 //
 //   screening A/B — packed kernel vs reference walk: the serial
-//       per-candidate walk (puf/screening_reference.hpp) vs ChallengeScreener
+//       per-candidate walk (oracles/screening_reference.hpp) vs ChallengeScreener
 //       (packed challenge words, sign-flip dots, per-PUF cascade). The issued
 //       challenge sequence, expected-response bits and exact
 //       candidates_tried are asserted bit-identical per sampled device
@@ -76,10 +76,10 @@
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "oracles/screening_reference.hpp"
 #include "puf/database.hpp"
 #include "puf/model_view.hpp"
 #include "puf/screening.hpp"
-#include "puf/screening_reference.hpp"
 #include "puf/store/store.hpp"
 #include "sim/linear.hpp"
 

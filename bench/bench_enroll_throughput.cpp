@@ -1,13 +1,13 @@
 // Enrollment-throughput harness for the streaming pipeline.
 //
 // Times Enroller::enroll (streaming: chunked scan -> normal-equation
-// accumulation -> one shared Cholesky) against Enroller::enroll_materialized
-// (the historical whole-scan path) on the same seeded chip, and proves the
-// two pipelines' ServerModels are bit-identical in-run. The acceptance
-// workload is the paper-shaped 1,000,000 challenges x 100 evaluations x 10
-// PUFs; the materialized side runs at --materialized-cap challenges (default
-// 65536) because materializing the full workload is exactly the memory cliff
-// the streaming path removes.
+// accumulation -> one shared Cholesky) against enroll_reference
+// (oracles/enroll_reference.hpp, the whole-scan path) on the same seeded
+// chip, and proves the two pipelines' ServerModels are bit-identical
+// in-run. The acceptance workload is the paper-shaped 1,000,000 challenges
+// x 100 evaluations x 10 PUFs; the materialized side runs at
+// --materialized-cap challenges (default 65536) because materializing the
+// full workload is exactly the memory cliff the streaming path removes.
 //
 // Fixed-memory proof: before any materialized run, the bench enrolls
 // streaming at a quarter of the challenge count and then at the full count,
@@ -34,6 +34,7 @@
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "oracles/enroll_reference.hpp"
 #include "puf/enrollment.hpp"
 
 namespace {
@@ -102,7 +103,7 @@ int main(int argc, char** argv) {
     puf::Enroller enroller(cfg);
     Rng rng(20170604);
     return streaming ? enroller.enroll(chip, rng)
-                     : enroller.enroll_materialized(chip, rng);
+                     : puf::enroll_reference(enroller, chip, rng);
   };
 
   // Fixed-memory probe FIRST, while no materialized run has inflated the

@@ -1,21 +1,23 @@
 // Scan-throughput harness for the batched linear-view evaluation core.
 //
-// Times ChipTester::scan_individual in both evaluation modes over the
-// acceptance workload (default 4096 challenges x 6 PUFs x 64 stages):
+// Times a full individual-PUF scan both ways over the acceptance workload
+// (default 4096 challenges x 6 PUFs x 64 stages):
 //
-//   scalar    the legacy per-cell path — a recursive stage walk plus
-//             environment derivation for every (PUF, challenge) cell
-//   batched   one FeatureBlock + one GEMM tile per chunk (sim/linear.hpp)
+//   scalar    the per-cell stage walk (oracles/scan_reference.hpp) — a
+//             recursive stage walk plus environment derivation for every
+//             (PUF, challenge) cell
+//   batched   ChipTester::scan_individual_into: one FeatureBlock + one GEMM
+//             tile per chunk (sim/linear.hpp)
 //
 // Default --mode both runs scalar then batched on the same seeded workload,
 // proves on the spot that the two scans are bit-identical, and records
 // scalar_seconds / batched_seconds / speedup into the timing JSON
 // (bench_out/scan_throughput_timing.json) that tools/check_bench_regression.py
-// gates CI on. The original determinism check remains: the timed mode is
+// gates CI on. The original determinism check remains: the timed side is
 // repeated on one lane and compared bit-for-bit.
 //
 //   ./bench_scan_throughput --threads 1              # acceptance A/B run
-//   ./bench_scan_throughput --mode batched           # one mode only
+//   ./bench_scan_throughput --mode batched           # one side only
 //   ./bench_scan_throughput --stages 32 --pufs 4     # other silicon shapes
 #include <algorithm>
 #include <cstdio>
@@ -26,20 +28,26 @@
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "oracles/scan_reference.hpp"
 #include "sim/tester.hpp"
 
 namespace {
 
-/// One full scan with a fresh, identically seeded tester, so every timed run
-/// draws the same challenges and the same measurement streams. Writes into
-/// `out` through the storage-reusing entry point — repeated scans into one
-/// result object are the steady state of a measurement campaign.
+/// One full scan from an identically seeded generator, so every timed run
+/// draws the same measurement streams: through the library's scan kernel
+/// (a fresh tester writing into `out` through the storage-reusing entry
+/// point — repeated scans into one result object are the steady state of a
+/// measurement campaign) or, with `reference`, through the stage walk.
 void run_scan(const xpuf::sim::ChipPopulation& pop, const xpuf::sim::FeatureBlock& block,
-              std::uint64_t trials, xpuf::sim::ScanMode mode,
-              xpuf::sim::ChipSoftScan& out) {
+              std::uint64_t trials, bool reference, xpuf::sim::ChipSoftScan& out) {
   xpuf::Rng rng = pop.measurement_rng();
-  xpuf::sim::ChipTester tester(xpuf::sim::Environment::nominal(), trials, rng.fork(),
-                               mode);
+  xpuf::Rng tester_rng = rng.fork();
+  if (reference) {
+    out = xpuf::sim::scan_reference(pop.chip(0), block, xpuf::sim::Environment::nominal(),
+                                    trials, tester_rng);
+    return;
+  }
+  xpuf::sim::ChipTester tester(xpuf::sim::Environment::nominal(), trials, tester_rng);
   tester.scan_individual_into(pop.chip(0), block, out);
 }
 
@@ -92,12 +100,12 @@ int main(int argc, char** argv) {
   for (std::uint64_t i = 0; i < reps; ++i) {
     if (mode == "scalar" || mode == "both") {
       timer.reset();
-      run_scan(pop, block, scale.trials, sim::ScanMode::kScalar, scan);
+      run_scan(pop, block, scale.trials, /*reference=*/true, scan);
       scalar_seconds = std::min(scalar_seconds, timer.seconds());
     }
     if (mode == "batched" || mode == "both") {
       timer.reset();
-      run_scan(pop, block, scale.trials, sim::ScanMode::kBatched, batched_scan);
+      run_scan(pop, block, scale.trials, /*reference=*/false, batched_scan);
       batched_seconds = std::min(batched_seconds, timer.seconds());
     }
   }
@@ -111,16 +119,15 @@ int main(int argc, char** argv) {
     bench.set_field("scalar_seconds", scalar_seconds);
   if (mode == "batched" || mode == "both")
     bench.set_field("batched_seconds", batched_seconds);
-  const sim::ScanMode timed_mode =
-      mode == "scalar" ? sim::ScanMode::kScalar : sim::ScanMode::kBatched;
+  const bool timed_reference = mode == "scalar";
 
-  // Determinism check: the timed mode repeated on one lane must reproduce
+  // Determinism check: the timed side repeated on one lane must reproduce
   // the multi-lane result bit for bit.
   const std::uint64_t lanes = ThreadPool::global_threads();
   ThreadPool::set_global_threads(1);
   timer.reset();
   sim::ChipSoftScan serial_scan;
-  run_scan(pop, block, scale.trials, timed_mode, serial_scan);
+  run_scan(pop, block, scale.trials, timed_reference, serial_scan);
   const double serial_seconds = timer.seconds();
   ThreadPool::set_global_threads(lanes);
   const bool lanes_identical =

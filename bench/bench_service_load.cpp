@@ -2,14 +2,15 @@
 //
 // --transport pipe (default): a fleet of simulated devices is enrolled in
 // parallel (stream-keyed, so the models are independent of the thread
-// count), provisioned into a sharded lockstep ServiceEngine, and driven
-// through enroll -> authenticate (-> revoke) session plans over
-// FaultyTransport pairs injecting drops, duplicates, reorders, truncations
-// and bit-flips. The bench is an end-to-end accounting audit as much as a
-// load generator: it fails (non-zero exit) unless every session lands in
-// exactly one terminal state, the frame conservation invariants hold, and
-// the global net.* counters reconcile with the per-session outcome ledgers
-// — zero drift, at any --threads.
+// count), provisioned into the sharded lockstep ServiceEngine (the test
+// oracle engine, oracles/service.hpp), and driven through enroll ->
+// authenticate (-> revoke) session plans over FaultyTransport pairs
+// injecting drops, duplicates, reorders, truncations and bit-flips. The
+// bench is an end-to-end accounting audit as much as a load generator: it
+// fails (non-zero exit) unless every session lands in exactly one terminal
+// state, the frame conservation invariants hold, and the global net.*
+// counters reconcile with the per-session outcome ledgers — zero drift, at
+// any --threads.
 //
 // --transport socket: the same fleet runs over REAL nonblocking localhost
 // TCP (or Unix-domain, --unix 1) sockets on the epoll event loop
@@ -44,7 +45,7 @@
 #include "bench_common.hpp"
 #include "common/timer.hpp"
 #include "net/async/service_engine.hpp"
-#include "net/service.hpp"
+#include "oracles/service.hpp"
 #include "puf/enrollment.hpp"
 
 namespace {

@@ -158,7 +158,7 @@ struct AsyncServiceEngine::AcceptorHandler final : public EventHandler {
 
 AsyncServiceEngine::AsyncServiceEngine(AsyncServiceConfig config)
     : config_(config),
-      // Same family derivation as the lockstep ServiceEngine — this is what
+      // Same family derivation as the lockstep oracle engine — this is what
       // makes issuance and measurement draws oracle-identical per device.
       issue_family_(Rng(config.seed ^ 0xfa'17'00'02).fork_base()),
       measure_family_(Rng(config.seed ^ 0xfa'17'00'03).fork_base()),
@@ -591,7 +591,7 @@ AsyncServiceReport AsyncServiceEngine::finalize(bool all_finished) {
               std::to_string(rec.session_id) + " has no terminal state");
       }
       // Transport-invariant digest — identical formula to the lockstep
-      // oracle's outcome_fingerprint (service.cpp).
+      // oracle's outcome_fingerprint (tests/oracles/service.cpp).
       mix(outcome_h, device_id);
       mix(outcome_h, rec.session_id);
       mix(outcome_h, static_cast<std::uint64_t>(rec.opened_with));

@@ -1,12 +1,12 @@
 // Event-loop authentication service engine over real sockets.
 //
-// AsyncServiceEngine serves the SAME protocol as the lockstep ServiceEngine
-// — same DeviceClient state machine, same ServerSessionHandler decisions,
-// same per-(device, session) issuance streams and per-device measurement
-// streams — but multiplexes the whole fleet over nonblocking TCP (or
-// Unix-domain) sockets on one epoll event loop, with a timer wheel driving
-// client retransmit deadlines, server session TTLs, and idle-connection
-// expiry.
+// AsyncServiceEngine serves the SAME protocol as the lockstep oracle engine
+// of the tests (tests/oracles/service.hpp) — same DeviceClient state
+// machine, same ServerSessionHandler decisions, same per-(device, session)
+// issuance streams and per-device measurement streams — but multiplexes the
+// whole fleet over nonblocking TCP (or Unix-domain) sockets on one epoll
+// event loop, with a timer wheel driving client retransmit deadlines, server
+// session TTLs, and idle-connection expiry.
 //
 // Reconciliation contract (see DESIGN.md §Async socket service): with the
 // same seed and workload, per-device session OUTCOMES are a pure function of
@@ -119,8 +119,8 @@ struct AsyncServiceReport {
   std::uint64_t bytes_written = 0;
 
   std::vector<std::string> violations;
-  /// Same digest formula as ServiceReport::outcome_fingerprint — compare
-  /// directly against the lockstep oracle's value.
+  /// Same digest formula as the lockstep oracle's outcome_fingerprint —
+  /// compare directly against the oracle's value.
   std::uint64_t outcome_fingerprint = 0;
 
   bool reconciled() const { return all_finished && violations.empty(); }
@@ -137,7 +137,7 @@ class AsyncServiceEngine {
   const AsyncServiceConfig& config() const { return config_; }
   std::uint64_t device_count() const { return device_index_.size(); }
 
-  /// Same contract as ServiceEngine::provision — chip + enrolled model +
+  /// Same contract as the lockstep oracle's provision — chip + enrolled model +
   /// scripted plan; must be called before run(). The chip must outlive the
   /// engine.
   void provision(const sim::XorPufChip& chip, puf::ServerModel model,

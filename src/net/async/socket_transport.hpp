@@ -3,9 +3,10 @@
 // SocketTransport implements the exact Transport contract the session layer
 // already speaks (send whole encoded frames / receive whole blobs / idle
 // quiescence), so DeviceClient and ServerSessionHandler run UNCHANGED over
-// TCP or Unix-domain sockets. Unlike PipeTransport, one SocketTransport
-// carries BOTH directions of its connection (a socket is full-duplex); the
-// engine hands the same object to the client as tx and rx.
+// TCP or Unix-domain sockets. Unlike the test oracle's in-process pipes
+// (one per direction), one SocketTransport carries BOTH directions of its
+// connection (a socket is full-duplex); the engine hands the same object to
+// the client as tx and rx.
 //
 // Write path: send() appends the encoded frame to an in-memory write buffer
 // and opportunistically flushes; flush_writes() (called again on EPOLLOUT)

@@ -1,18 +1,18 @@
-// Server-side session state machine, shared by both service engines.
+// Server-side session state machine, shared by the service engine and its
+// test oracle.
 //
-// The lockstep ServiceEngine (service.hpp) and the event-loop
-// AsyncServiceEngine (async/service_engine.hpp) must run the SAME protocol
-// decisions — that is what makes the lockstep engine usable as the oracle
-// the socket engine reconciles against. This file hoists the per-device
-// server endpoint out of service.cpp: one ServerSessionHandler per
-// provisioned device owns its ServerSession, decides begin/response/expiry
-// transitions, and emits replies through a narrow ReplySink so each engine
-// can route them over its own transport (lockstep pipe pair, nonblocking
-// socket).
+// The event-loop AsyncServiceEngine (async/service_engine.hpp) and the
+// lockstep oracle engine of the tests (tests/oracles/service.hpp) must run
+// the SAME protocol decisions — that is what makes the lockstep engine
+// usable as the oracle the socket engine reconciles against. One
+// ServerSessionHandler per provisioned device owns its ServerSession,
+// decides begin/response/expiry transitions, and emits replies through a
+// narrow ReplySink so each engine can route them over its own transport
+// (nonblocking socket, or the oracle's in-process pipe pair).
 //
 // Clock domain: `now` is whatever monotonic tick the owning engine supplies
-// — lockstep rounds for ServiceEngine, async::Clock ticks (wall-ms by
-// default) for the event loop. ServerPolicy::session_ttl and busy_retry are
+// — async::Clock ticks (wall-ms by default) for the event loop, lockstep
+// rounds for the oracle. ServerPolicy::session_ttl and busy_retry are
 // expressed in that same domain; nothing here assumes a tick equals a
 // protocol round trip.
 //

@@ -79,8 +79,9 @@ class SessionObserver {
 class DeviceClient {
  public:
   /// `rng` is this connection's private stream (measurement noise draws);
-  /// `to_server`/`from_server` are the two transport directions, typically
-  /// FaultyTransport decorations of a PipeTransport pair.
+  /// `to_server`/`from_server` are the two transport directions: one
+  /// full-duplex async::SocketTransport passed twice, or the test oracle's
+  /// fault-injecting in-process pipes (tests/oracles/pipe_transport.hpp).
   DeviceClient(const sim::XorPufChip& chip, sim::Environment env, Rng rng,
                Transport& to_server, Transport& from_server,
                std::uint32_t auth_sessions, ClientPolicy policy = {},

@@ -30,10 +30,11 @@
 // concurrent readers, and disjoint mapped values may be mutated in
 // parallel; the store locks its shared cache and shard files internally).
 // register_device(), revoke_device() and save() mutate the maps and require
-// exclusive access; the net/ ServiceEngine satisfies this by giving each
-// shard its own ServerDatabase and keeping all calls on the owning shard
-// lane. tests/test_observability.cpp exercises the concurrent half of the
-// contract under TSan.
+// exclusive access; the net/ AsyncServiceEngine satisfies this by giving
+// each shard its own ServerDatabase and serving every call from its single
+// event-loop thread (the lockstep test oracle, tests/oracles/service.hpp,
+// keeps all calls on the owning shard lane). tests/test_observability.cpp
+// exercises the concurrent half of the contract under TSan.
 #pragma once
 
 #include <atomic>

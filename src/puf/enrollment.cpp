@@ -123,8 +123,8 @@ ServerModel Enroller::enroll(const sim::XorPufChip& chip, Rng& rng) const {
 
   // Pass 1: one measurement sweep accumulates the shared Gram matrix and
   // every PUF's X^T y in O(features^2) memory. One Cholesky then solves all
-  // n_pufs regressions — the materialized path redoes the O(n d^2) Gram per
-  // PUF, which is where the streaming speedup comes from.
+  // n_pufs regressions — the whole-scan path (enroll_from_scan) redoes the
+  // O(n d^2) Gram per PUF, which is where the streaming speedup comes from.
   ml::StreamingNormalEquations normal(features, n_pufs);
   sim::ScanChunk chunk;
   Timer fit_timer;
@@ -137,8 +137,8 @@ ServerModel Enroller::enroll(const sim::XorPufChip& chip, Rng& rng) const {
   fit_timer.reset();
   const linalg::Matrix weights = normal.solve(config_.ridge);
   fit_ms += fit_timer.millis();
-  // Per-PUF share of the shared accumulate + solve work; the materialized
-  // path's fit_time_ms is per-PUF too.
+  // Per-PUF share of the shared accumulate + solve work; enroll_from_scan's
+  // fit_time_ms is per-PUF too.
   const double fit_ms_per_puf = fit_ms / static_cast<double>(n_pufs);
 
   // Pass 2: replay the identical chunks (reset() rewinds the challenge
@@ -185,17 +185,6 @@ ServerModel Enroller::enroll(const sim::XorPufChip& chip, Rng& rng) const {
     pufs.push_back(std::move(e));
   }
   return ServerModel(chip.id(), std::move(pufs));
-}
-
-ServerModel Enroller::enroll_materialized(const sim::XorPufChip& chip, Rng& rng) const {
-  XPUF_TRACE_SPAN("puf.enroll_materialized");
-  sim::ChipTester tester(config_.environment, config_.trials, rng.fork());
-  // Build the feature block once: the scan's batched evaluation and the
-  // per-PUF regressions below share the same Phi matrix.
-  const FeatureBlock block(
-      tester.random_challenges(chip, config_.training_challenges));
-  const sim::ChipSoftScan scan = tester.scan_individual(chip, block);
-  return enroll_from_scan(chip.id(), scan, block);
 }
 
 ServerModel Enroller::enroll_from_scan(std::size_t chip_id,

@@ -36,6 +36,8 @@ struct PufEnrollment {
   ArbiterPufModel model;      ///< fitted delay parameters (regression weights)
   ThresholdPair thresholds;   ///< raw training-set thresholds
   double train_r_squared = 0.0;
+  /// Wall-clock fit time of this enrollment run, for timing benches only.
+  /// Never persisted: a model read back from the store reports 0.
   double fit_time_ms = 0.0;
 };
 
@@ -120,15 +122,10 @@ class Enroller {
   /// the scan in config().chunk_challenges-sized chunks and accumulates
   /// normal equations per chunk, so memory stays O(chunk + features^2)
   /// regardless of training_challenges — while the returned model is
-  /// bit-identical to enroll_materialized (see DESIGN.md "Streaming
-  /// enrollment" for the argument).
+  /// bit-identical to the whole-scan path (enroll_from_scan over one
+  /// materialized scan; the test oracle tests/oracles/enroll_reference.hpp
+  /// and DESIGN.md "Streaming enrollment" give the argument).
   ServerModel enroll(const sim::XorPufChip& chip, Rng& rng) const;
-
-  /// The historical whole-scan path: materialize every challenge and
-  /// measurement, then fit per PUF. Kept as the reference the streaming
-  /// path is benchmarked and equivalence-tested against; consumes `rng`
-  /// exactly as enroll() does and returns the identical model.
-  ServerModel enroll_materialized(const sim::XorPufChip& chip, Rng& rng) const;
 
   /// Enrolls from an existing soft-response scan (used when the same
   /// measurement set feeds several analyses).

@@ -106,7 +106,7 @@ RecordStatus decode_record(const std::uint8_t* data, std::uint64_t size,
 std::vector<std::uint8_t> encode_model(const ServerModel& model) {
   const std::size_t puf_count = model.puf_count();
   const std::size_t stages = model.stages();
-  const std::size_t per_puf = (4 + stages + 1) * sizeof(double);
+  const std::size_t per_puf = (3 + stages + 1) * sizeof(double);
   std::vector<std::uint8_t> out;
   out.reserve(kModelFixedBytes + 2 * sizeof(double) + puf_count * per_puf);
   put_u32(out, static_cast<std::uint32_t>(puf_count));
@@ -118,7 +118,6 @@ std::vector<std::uint8_t> encode_model(const ServerModel& model) {
     put_f64(out, e.thresholds.thr0);
     put_f64(out, e.thresholds.thr1);
     put_f64(out, e.train_r_squared);
-    put_f64(out, e.fit_time_ms);
     const linalg::Vector& w = e.model.weights();
     for (std::size_t i = 0; i < w.size(); ++i) put_f64(out, w[i]);
   }
@@ -145,7 +144,6 @@ RecordStatus decode_model(const std::uint8_t* payload, std::uint32_t len,
     if (!reader.read_f64(e.thresholds.thr0)) return RecordStatus::kBadPayload;
     if (!reader.read_f64(e.thresholds.thr1)) return RecordStatus::kBadPayload;
     if (!reader.read_f64(e.train_r_squared)) return RecordStatus::kBadPayload;
-    if (!reader.read_f64(e.fit_time_ms)) return RecordStatus::kBadPayload;
     std::vector<double> weights(stages + 1);
     for (double& w : weights)
       if (!reader.read_f64(w)) return RecordStatus::kBadPayload;
@@ -158,7 +156,7 @@ RecordStatus decode_model(const std::uint8_t* payload, std::uint32_t len,
 }
 
 std::uint64_t model_payload_bytes(std::uint32_t puf_count, std::uint32_t stages) {
-  const std::uint64_t per_puf = (4 + static_cast<std::uint64_t>(stages) + 1) * sizeof(double);
+  const std::uint64_t per_puf = (3 + static_cast<std::uint64_t>(stages) + 1) * sizeof(double);
   return kModelFixedBytes + 2 * sizeof(double) + static_cast<std::uint64_t>(puf_count) * per_puf;
 }
 
@@ -315,7 +313,7 @@ bool model_view_from_payload(const std::uint8_t* payload, std::uint32_t len,
   BetaFactors betas;
   betas.beta0 = d[0];
   betas.beta1 = d[1];
-  const std::size_t per_puf = 4 + static_cast<std::size_t>(stages) + 1;
+  const std::size_t per_puf = 3 + static_cast<std::size_t>(stages) + 1;
   std::vector<const double*> weights;
   std::vector<ThresholdPair> thresholds;
   weights.reserve(puf_count);
@@ -325,10 +323,9 @@ bool model_view_from_payload(const std::uint8_t* payload, std::uint32_t len,
     ThresholdPair thr;
     thr.thr0 = block[0];
     thr.thr1 = block[1];
-    // block[2] (r^2) and block[3] (fit time) are enrollment bookkeeping the
-    // hot path never reads.
+    // block[2] (r^2) is enrollment bookkeeping the hot path never reads.
     thresholds.push_back(thr);
-    weights.push_back(block + 4);
+    weights.push_back(block + 3);
   }
   out = ModelView::from_parts(device_id, stages, betas, std::move(weights),
                               std::move(thresholds), std::move(owner));

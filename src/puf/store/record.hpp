@@ -39,7 +39,9 @@
 namespace xpuf::puf::store {
 
 inline constexpr std::uint16_t kRecordMagic = 0x5253;  // "SR"
-inline constexpr std::uint8_t kStoreVersion = 1;
+/// Version 2 dropped the wall-clock fit time from REGISTER payloads, so
+/// same-seed enrollments write identical bytes; there is no version 1 reader.
+inline constexpr std::uint8_t kStoreVersion = 2;
 inline constexpr std::uint32_t kRecordHeaderBytes = 16;
 inline constexpr std::uint32_t kRecordTrailerBytes = 4;
 /// Upper bound on payload size; larger length prefixes are rejected as
@@ -218,8 +220,9 @@ RecordStatus decode_record(const std::uint8_t* data, std::uint64_t size,
 // --- payload codecs ---------------------------------------------------------
 
 /// REGISTER payload: u32 puf_count, u32 stages, f64 beta0, f64 beta1, then
-/// per PUF: f64 thr0, f64 thr1, f64 r_squared, f64 fit_time_ms and
-/// (stages + 1) f64 weights.
+/// per PUF: f64 thr0, f64 thr1, f64 r_squared and (stages + 1) f64
+/// weights. PufEnrollment::fit_time_ms is not stored (a wall-clock reading
+/// would make the bytes differ run to run); decoded models read 0.
 std::vector<std::uint8_t> encode_model(const ServerModel& model);
 RecordStatus decode_model(const std::uint8_t* payload, std::uint32_t len,
                           std::uint64_t device_id, ServerModel& out);

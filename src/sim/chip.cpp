@@ -1,16 +1,8 @@
 #include "sim/chip.hpp"
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 
 namespace xpuf::sim {
-
-namespace {
-// Challenges per parallel chunk in the batched XOR paths. Fixed (never
-// derived from the thread count) so the chunk grid is identical for any
-// pool size; matches the tester's scan chunking.
-constexpr std::size_t kXorChunk = 64;
-}  // namespace
 
 XorPufChip::XorPufChip(std::size_t chip_id, std::size_t n_pufs,
                        const DeviceParameters& params, const EnvironmentModel& env_model,
@@ -67,86 +59,20 @@ SoftMeasurement XorPufChip::measure_xor_soft_response(const Challenge& challenge
   return {rng.binomial(trials, p_xor), trials};
 }
 
-ChipLinearView XorPufChip::internal_view(const Environment& env,
-                                         std::size_t n_pufs) const {
+ChipLinearView XorPufChip::linear_view(const Environment& env, std::size_t n_pufs) const {
   XPUF_REQUIRE(n_pufs >= 1 && n_pufs <= devices_.size(), "n_pufs out of range");
   std::vector<DeviceLinearView> views;
   views.reserve(n_pufs);
-  for (std::size_t p = 0; p < n_pufs; ++p) views.push_back(devices_[p].linear_view(env));
+  for (std::size_t p = 0; p < n_pufs; ++p) {
+    check_tap(p);
+    views.push_back(devices_[p].linear_view(env));
+  }
   return ChipLinearView(std::move(views));
-}
-
-ChipLinearView XorPufChip::linear_view(const Environment& env, std::size_t n_pufs) const {
-  XPUF_REQUIRE(n_pufs >= 1 && n_pufs <= devices_.size(), "n_pufs out of range");
-  for (std::size_t p = 0; p < n_pufs; ++p) check_tap(p);
-  return internal_view(env, n_pufs);
-}
-
-// Index range and fuse state are both guarded by check_tap.
-// xpuf-lint: guarded-by(check_tap)
-DeviceLinearView XorPufChip::device_linear_view(std::size_t puf_index,
-                                                const Environment& env) const {
-  check_tap(puf_index);
-  return devices_[puf_index].linear_view(env);
 }
 
 linalg::Matrix XorPufChip::one_probabilities(const FeatureBlock& block,
                                              const Environment& env) const {
   return linear_view(env).one_probabilities(block);
-}
-
-// An empty block yields an empty response batch.
-std::vector<std::uint8_t> XorPufChip::xor_responses(const FeatureBlock& block,
-                                                    const Environment& env,
-                                                    const StreamFamily& streams) const {
-  if (block.empty()) return {};
-  XPUF_REQUIRE(block.stages() == stages(), "challenge length != chip stage count");
-  const ChipLinearView view = internal_view(env, devices_.size());
-  const std::size_t n = view.puf_count();
-  std::vector<std::uint8_t> out(block.size(), 0);
-  parallel_for(block.size(), kXorChunk,
-               [&](std::size_t begin, std::size_t end, std::size_t) {
-                 std::vector<double> deltas((end - begin) * n);
-                 view.delay_differences_into(block, begin, end, deltas.data());
-                 for (std::size_t c = begin; c < end; ++c) {
-                   Rng cell_rng = streams.stream(c);
-                   const double* row = deltas.data() + (c - begin) * n;
-                   bool bit = false;
-                   // Same arbitration and draw order as xor_response: one
-                   // thermal-noise draw per device, in device order.
-                   for (std::size_t p = 0; p < n; ++p)
-                     bit ^= row[p] + cell_rng.normal(0.0, view.noise_sigma(p)) > 0.0;
-                   out[c] = bit ? 1 : 0;
-                 }
-               });
-  return out;
-}
-
-// Same empty-block contract as xor_responses.
-std::vector<SoftMeasurement> XorPufChip::measure_xor_soft_responses(
-    const FeatureBlock& block, const Environment& env, std::uint64_t trials,
-    const StreamFamily& streams) const {
-  XPUF_REQUIRE(trials > 0, "soft-response measurement needs at least one trial");
-  if (block.empty()) return {};
-  XPUF_REQUIRE(block.stages() == stages(), "challenge length != chip stage count");
-  const ChipLinearView view = internal_view(env, devices_.size());
-  const std::size_t n = view.puf_count();
-  std::vector<SoftMeasurement> out(block.size());
-  parallel_for(block.size(), kXorChunk,
-               [&](std::size_t begin, std::size_t end, std::size_t) {
-                 std::vector<double> probs((end - begin) * n);
-                 view.one_probabilities_into(block, begin, end, probs.data());
-                 for (std::size_t c = begin; c < end; ++c) {
-                   Rng cell_rng = streams.stream(c);
-                   const double* row = probs.data() + (c - begin) * n;
-                   // Parity of independent bits, as in measure_xor_soft_response.
-                   double prod = 1.0;
-                   for (std::size_t p = 0; p < n; ++p) prod *= 1.0 - 2.0 * row[p];
-                   const double p_xor = 0.5 * (1.0 - prod);
-                   out[c] = {cell_rng.binomial(trials, p_xor), trials};
-                 }
-               });
-  return out;
 }
 
 bool XorPufChip::tap_accessible(std::size_t puf_index) const {

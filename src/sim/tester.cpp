@@ -35,10 +35,49 @@ std::vector<double> build_soft_lut(std::uint64_t trials) {
   }
   return lut;
 }
+
+// The one cell-measurement kernel every scan runs: block rows [begin, end)
+// of every PUF, cell (p, c) drawing its binomial counter from
+// streams.stream(p * stride + offset + c). Serial; scans call it from their
+// parallel_for chunk bodies. An empty soft_lut means "divide per cell".
+void measure_cells(const ChipLinearView& view, const FeatureBlock& block, std::size_t begin,
+                   std::size_t end, const StreamFamily& streams, std::size_t stride,
+                   std::size_t offset, std::uint64_t trials,
+                   const std::vector<double>& soft_lut,
+                   std::vector<std::vector<double>>& soft,
+                   std::vector<std::vector<std::uint8_t>>& stable) {
+  // Sharded counter: each worker hits its own cache line, so recording from
+  // inside a parallel body is contention-free and the merged total is a
+  // pure function of the workload (never of the thread count). One add per
+  // chunk keeps even that off the per-cell path.
+  static Counter& measurements = MetricsRegistry::global().counter("tester.measurements");
+  const std::size_t n_pufs = view.puf_count();
+  // One GEMM tile for the whole chunk. thread_local staging: one buffer per
+  // worker for the whole scan instead of one allocation per chunk.
+  thread_local std::vector<double> probs;
+  probs.resize((end - begin) * n_pufs);
+  view.one_probabilities_into(block, begin, end, probs.data());
+  // PUF-outer order keeps the soft/stable writes contiguous; it cannot
+  // change any value because every cell draws from its own private stream,
+  // keyed by index alone.
+  for (std::size_t p = 0; p < n_pufs; ++p) {
+    double* soft_row = soft[p].data();
+    std::uint8_t* stable_row = stable[p].data();
+    for (std::size_t c = begin; c < end; ++c) {
+      Rng cell_rng = streams.stream(p * stride + offset + c);
+      const std::uint64_t ones = cell_rng.binomial(trials, probs[(c - begin) * n_pufs + p]);
+      soft_row[c] = soft_lut.empty()
+                        ? static_cast<double>(ones) / static_cast<double>(trials)
+                        : soft_lut[ones];
+      stable_row[c] = (ones == 0 || ones == trials) ? 1 : 0;
+    }
+  }
+  measurements.add((end - begin) * n_pufs);
+}
 }  // namespace
 
-ChipTester::ChipTester(Environment env, std::uint64_t trials, Rng rng, ScanMode mode)
-    : env_(env), trials_(trials), rng_(rng), mode_(mode) {
+ChipTester::ChipTester(Environment env, std::uint64_t trials, Rng rng)
+    : env_(env), trials_(trials), rng_(rng) {
   XPUF_REQUIRE(trials > 0, "ChipTester needs at least one trial per challenge");
 }
 
@@ -73,20 +112,21 @@ void ChipTester::scan_individual_into(const XorPufChip& chip, const FeatureBlock
   scan.challenges = block.challenges();
   scan.trials = trials_;
   scan.environment = env_;
-  // resize, not assign: every cell below is written exactly once in either
-  // mode, so re-zeroing a reused row would be pure memory traffic.
+  // resize, not assign: every cell below is written exactly once, so
+  // re-zeroing a reused row would be pure memory traffic.
   scan.soft.resize(n_pufs);
   for (auto& row : scan.soft) row.resize(n_ch);
   scan.stable.resize(n_pufs);
 
-  // Batched mode materializes the linear view up front; this also performs
-  // the per-tap access check a deployed chip must fail (the scalar path
-  // hits the same check inside measure_soft_response).
-  const bool batched = mode_ == ScanMode::kBatched && n_ch > 0;
+  // Materializing the linear view also performs the per-tap access check a
+  // deployed chip must fail. An empty scan touches no cell and checks
+  // nothing.
   ChipLinearView view;
-  if (batched) view = chip.linear_view(env_);
   std::vector<double> soft_lut;
-  if (batched) soft_lut = build_soft_lut(trials_);
+  if (n_ch > 0) {
+    view = chip.linear_view(env_);
+    soft_lut = build_soft_lut(trials_);
+  }
 
   // One base draw keys every (puf, challenge) cell's private stream; each
   // cell's measurement noise is a pure function of (base, cell index).
@@ -95,67 +135,20 @@ void ChipTester::scan_individual_into(const XorPufChip& chip, const FeatureBlock
   // flags in a byte buffer and commit serially after the parallel loop.
   std::vector<std::vector<std::uint8_t>> stable_bytes(
       n_pufs, std::vector<std::uint8_t>(n_ch, 0));
-  // Sharded counter: each worker hits its own cache line, so recording from
-  // inside the parallel body is contention-free and the merged total is a
-  // pure function of the workload (never of the thread count). One add per
-  // chunk keeps even that off the per-cell path.
-  static Counter& measurements =
-      MetricsRegistry::global().counter("tester.measurements");
-  parallel_for(n_ch, kScanChunk,
-               [&](std::size_t begin, std::size_t end, std::size_t) {
-                 if (batched) {
-                   // One GEMM tile for the whole chunk, then per-cell
-                   // binomial draws from the same streams the scalar mode
-                   // uses — the mode changes evaluation cost, not draws.
-                   // thread_local staging: one buffer per worker for the
-                   // whole scan instead of one allocation per chunk.
-                   thread_local std::vector<double> probs;
-                   probs.resize((end - begin) * n_pufs);
-                   view.one_probabilities_into(block, begin, end, probs.data());
-                   // PUF-outer order keeps the soft/stable writes contiguous;
-                   // it cannot change any value because every cell draws from
-                   // its own private stream, keyed by index alone.
-                   for (std::size_t p = 0; p < n_pufs; ++p) {
-                     double* soft_row = scan.soft[p].data();
-                     std::uint8_t* stable_row = stable_bytes[p].data();
-                     for (std::size_t c = begin; c < end; ++c) {
-                       Rng cell_rng = streams.stream(p * n_ch + c);
-                       const std::uint64_t ones = cell_rng.binomial(
-                           trials_, probs[(c - begin) * n_pufs + p]);
-                       soft_row[c] = soft_lut.empty()
-                                         ? static_cast<double>(ones) /
-                                               static_cast<double>(trials_)
-                                         : soft_lut[ones];
-                       stable_row[c] = (ones == 0 || ones == trials_) ? 1 : 0;
-                     }
-                   }
-                 } else {
-                   for (std::size_t c = begin; c < end; ++c) {
-                     for (std::size_t p = 0; p < n_pufs; ++p) {
-                       Rng cell_rng = streams.stream(p * n_ch + c);
-                       // kScalar IS the per-cell reference path the batched
-                       // mode is benchmarked and golden-tested against.
-                       // xpuf-lint: allow(scalar-eval)
-                       const SoftMeasurement m = chip.measure_soft_response(
-                           p, block.challenge(c), env_, trials_, cell_rng);
-                       scan.soft[p][c] = m.soft_response();
-                       stable_bytes[p][c] = m.fully_stable() ? 1 : 0;
-                     }
-                   }
-                 }
-                 measurements.add((end - begin) * n_pufs);
-               });
+  parallel_for(n_ch, kScanChunk, [&](std::size_t begin, std::size_t end, std::size_t) {
+    measure_cells(view, block, begin, end, streams, n_ch, 0, trials_, soft_lut, scan.soft,
+                  stable_bytes);
+  });
   for (std::size_t p = 0; p < n_pufs; ++p)
     scan.stable[p].assign(stable_bytes[p].begin(), stable_bytes[p].end());
 }
 
 ChipScanStream::ChipScanStream(const XorPufChip& chip, const Environment& env,
-                               std::uint64_t trials, ScanMode mode, std::size_t total,
-                               std::size_t chunk, Rng& tester_rng)
+                               std::uint64_t trials, std::size_t total, std::size_t chunk,
+                               Rng& tester_rng)
     : chip_(&chip),
       env_(env),
       trials_(trials),
-      mode_(mode),
       total_(total),
       chunk_(chunk),
       challenge_rng_(tester_rng) {
@@ -170,12 +163,10 @@ ChipScanStream::ChipScanStream(const XorPufChip& chip, const Environment& env,
   const std::size_t stages = chip.stages();
   for (std::size_t i = 0; i < total * stages; ++i) tester_rng.next_u64();
   base_ = tester_rng.fork_base();
-  if (mode_ == ScanMode::kBatched) {
-    // Materializing the linear view also performs the per-tap access check a
-    // deployed chip must fail — at stream construction, not first use.
-    view_ = chip.linear_view(env_);
-    soft_lut_ = build_soft_lut(trials_);
-  }
+  // Materializing the linear view also performs the per-tap access check a
+  // deployed chip must fail — at stream construction, not first use.
+  view_ = chip.linear_view(env_);
+  soft_lut_ = build_soft_lut(trials_);
 }
 
 void ChipScanStream::reset() {
@@ -210,44 +201,9 @@ bool ChipScanStream::next(ScanChunk& chunk) {
   // measurement is a pure function of (base, cell) — chunking and thread
   // count change nothing.
   const StreamFamily streams(base_);
-  static Counter& measurements =
-      MetricsRegistry::global().counter("tester.measurements");
-  const bool batched = mode_ == ScanMode::kBatched;
   parallel_for(m, kScanChunk, [&](std::size_t begin, std::size_t end, std::size_t) {
-    if (batched) {
-      thread_local std::vector<double> probs;
-      probs.resize((end - begin) * n_pufs);
-      view_.one_probabilities_into(chunk.block, begin, end, probs.data());
-      for (std::size_t p = 0; p < n_pufs; ++p) {
-        double* soft_row = chunk.soft[p].data();
-        // ScanChunk::stable rows are std::uint8_t (not the packed-bit
-        // vector<bool> the rule names).  xpuf-lint: allow(vector-bool-parallel)
-        std::uint8_t* stable_row = chunk.stable[p].data();
-        for (std::size_t c = begin; c < end; ++c) {
-          Rng cell_rng = streams.stream(p * total_ + begin_global + c);
-          const std::uint64_t ones =
-              cell_rng.binomial(trials_, probs[(c - begin) * n_pufs + p]);
-          soft_row[c] = soft_lut_.empty() ? static_cast<double>(ones) /
-                                                static_cast<double>(trials_)
-                                          : soft_lut_[ones];
-          stable_row[c] = (ones == 0 || ones == trials_) ? 1 : 0;
-        }
-      }
-    } else {
-      for (std::size_t c = begin; c < end; ++c) {
-        for (std::size_t p = 0; p < n_pufs; ++p) {
-          Rng cell_rng = streams.stream(p * total_ + begin_global + c);
-          // kScalar is the per-cell reference path, as in scan_individual.
-          // xpuf-lint: allow(scalar-eval)
-          const SoftMeasurement meas = chip_->measure_soft_response(
-              p, chunk.block.challenge(c), env_, trials_, cell_rng);
-          chunk.soft[p][c] = meas.soft_response();
-          // Same: byte flags, not vector<bool>.  xpuf-lint: allow(vector-bool-parallel)
-          chunk.stable[p][c] = meas.fully_stable() ? 1 : 0;
-        }
-      }
-    }
-    measurements.add((end - begin) * n_pufs);
+    measure_cells(view_, chunk.block, begin, end, streams, total_, begin_global, trials_,
+                  soft_lut_, chunk.soft, chunk.stable);
   });
   position_ += m;
   return true;
@@ -255,97 +211,7 @@ bool ChipScanStream::next(ScanChunk& chunk) {
 
 ChipScanStream ChipTester::stream_individual(const XorPufChip& chip, std::size_t total,
                                              std::size_t chunk_challenges) {
-  return ChipScanStream(chip, env_, trials_, mode_, total, chunk_challenges, rng_);
-}
-
-std::vector<SoftMeasurement> ChipTester::scan_single(const XorPufChip& chip,
-                                                     std::size_t puf_index,
-                                                     const std::vector<Challenge>& challenges) {
-  return scan_single(chip, puf_index, FeatureBlock(challenges));
-}
-
-std::vector<SoftMeasurement> ChipTester::scan_single(const XorPufChip& chip,
-                                                     std::size_t puf_index,
-                                                     const FeatureBlock& block) {
-  XPUF_TRACE_SPAN("tester.scan_single");
-  XPUF_REQUIRE(puf_index < chip.puf_count(), "PUF index out of range");
-  require_block_matches(block, chip);
-  const bool batched = mode_ == ScanMode::kBatched && !block.empty();
-  DeviceLinearView view;
-  if (batched) view = chip.device_linear_view(puf_index, env_);
-  std::vector<SoftMeasurement> out(block.size());
-  const StreamFamily streams(rng_.fork_base());
-  parallel_for(block.size(), kScanChunk,
-               [&](std::size_t begin, std::size_t end, std::size_t) {
-                 if (batched) {
-                   std::vector<double> probs(end - begin);
-                   view.one_probabilities_into(block, begin, end, probs.data());
-                   for (std::size_t c = begin; c < end; ++c) {
-                     Rng cell_rng = streams.stream(c);
-                     out[c] = {cell_rng.binomial(trials_, probs[c - begin]), trials_};
-                   }
-                 } else {
-                   for (std::size_t c = begin; c < end; ++c) {
-                     Rng cell_rng = streams.stream(c);
-                     // Scalar reference mode, as in scan_individual.
-                     // xpuf-lint: allow(scalar-eval)
-                     out[c] = chip.measure_soft_response(puf_index, block.challenge(c),
-                                                         env_, trials_, cell_rng);
-                   }
-                 }
-               });
-  return out;
-}
-
-std::vector<bool> ChipTester::sample_xor(const XorPufChip& chip,
-                                         const std::vector<Challenge>& challenges) {
-  return sample_xor(chip, FeatureBlock(challenges));
-}
-
-std::vector<bool> ChipTester::sample_xor(const XorPufChip& chip,
-                                         const FeatureBlock& block) {
-  XPUF_TRACE_SPAN("tester.sample_xor");
-  require_block_matches(block, chip);
-  static Counter& samples = MetricsRegistry::global().counter("tester.xor_samples");
-  samples.add(block.size());
-  const StreamFamily streams(rng_.fork_base());
-  if (mode_ == ScanMode::kBatched) {
-    const std::vector<std::uint8_t> bits = chip.xor_responses(block, env_, streams);
-    return std::vector<bool>(bits.begin(), bits.end());
-  }
-  std::vector<std::uint8_t> bits(block.size(), 0);
-  parallel_for(block.size(), kScanChunk,
-               [&](std::size_t begin, std::size_t end, std::size_t) {
-                 for (std::size_t c = begin; c < end; ++c) {
-                   Rng cell_rng = streams.stream(c);
-                   bits[c] = chip.xor_response(block.challenge(c), env_, cell_rng) ? 1 : 0;
-                 }
-               });
-  return std::vector<bool>(bits.begin(), bits.end());
-}
-
-std::vector<SoftMeasurement> ChipTester::scan_xor(const XorPufChip& chip,
-                                                  const std::vector<Challenge>& challenges) {
-  return scan_xor(chip, FeatureBlock(challenges));
-}
-
-std::vector<SoftMeasurement> ChipTester::scan_xor(const XorPufChip& chip,
-                                                  const FeatureBlock& block) {
-  XPUF_TRACE_SPAN("tester.scan_xor");
-  require_block_matches(block, chip);
-  const StreamFamily streams(rng_.fork_base());
-  if (mode_ == ScanMode::kBatched)
-    return chip.measure_xor_soft_responses(block, env_, trials_, streams);
-  std::vector<SoftMeasurement> out(block.size());
-  parallel_for(block.size(), kScanChunk,
-               [&](std::size_t begin, std::size_t end, std::size_t) {
-                 for (std::size_t c = begin; c < end; ++c) {
-                   Rng cell_rng = streams.stream(c);
-                   out[c] = chip.measure_xor_soft_response(block.challenge(c), env_,
-                                                           trials_, cell_rng);
-                 }
-               });
-  return out;
+  return ChipScanStream(chip, env_, trials_, total, chunk_challenges, rng_);
 }
 
 }  // namespace xpuf::sim

@@ -1,20 +1,19 @@
 // Batch test harness — the simulated PXI + USB DAQ bench setup of Fig 2.
 //
 // Applies challenge lists to a chip at a programmable corner and collects
-// per-PUF soft responses through the fused taps (enrollment) or one-shot
-// XOR responses (authentication-side measurements).
+// per-PUF soft responses through the fused taps (enrollment).
 //
 // Scans run on the global thread pool (common/parallel.hpp). Each scan
 // draws ONE base value from the tester's stream and derives a private
 // per-measurement child stream keyed by the (puf, challenge) cell index, so
 // scan output is bit-identical for any thread count.
 //
-// Two scan modes share that RNG contract. kBatched (the default) routes
-// noise-free probabilities through the linear-view batch core — one feature
-// block per scan, one GEMM tile per chunk — and draws the binomial counters
-// per cell from the same streams. kScalar is the legacy reference: every
-// cell walks the recursive stage model. Mode changes cost, not draws; see
-// DESIGN.md "Batched evaluation core" for the equivalence contract.
+// Every scan measures through one serial cell kernel: noise-free
+// probabilities come from the linear-view batch core (one GEMM tile per
+// chunk) and the binomial counters are drawn per cell from those streams.
+// The per-cell stage walk it is bit-identical to lives in the test oracles
+// (tests/oracles/scan_reference.hpp); see DESIGN.md "Batched evaluation
+// core" for the equivalence contract.
 #pragma once
 
 #include <cstdint>
@@ -35,14 +34,6 @@ struct ChipSoftScan {
   std::vector<std::vector<bool>> stable;
   std::uint64_t trials = 0;
   Environment environment;
-};
-
-/// How a scan turns challenges into noise-free probabilities. Binomial /
-/// arbitration draws are per-cell in both modes, so results agree cell for
-/// cell; only the evaluation cost differs.
-enum class ScanMode {
-  kScalar,   ///< legacy reference: recursive stage walk per (PUF, challenge)
-  kBatched,  ///< linear-view batch core: one GEMM tile per parallel chunk
 };
 
 /// One chunk of a streaming individual-PUF scan: `block` holds the chunk's
@@ -91,20 +82,19 @@ class ChipScanStream {
  private:
   friend class ChipTester;
   ChipScanStream(const XorPufChip& chip, const Environment& env,
-                 std::uint64_t trials, ScanMode mode, std::size_t total,
-                 std::size_t chunk, Rng& tester_rng);
+                 std::uint64_t trials, std::size_t total, std::size_t chunk,
+                 Rng& tester_rng);
 
   const XorPufChip* chip_ = nullptr;
   Environment env_;
   std::uint64_t trials_ = 0;
-  ScanMode mode_ = ScanMode::kBatched;
   std::size_t total_ = 0;
   std::size_t chunk_ = 0;
   std::size_t position_ = 0;
   Rng challenge_rng_;        ///< replays the challenge draws, chunk by chunk
   Rng challenge_rng_start_;  ///< saved copy for reset()
   std::uint64_t base_ = 0;   ///< keys every cell's measurement stream
-  ChipLinearView view_;      ///< batched-mode snapshot (kScalar leaves it empty)
+  ChipLinearView view_;      ///< the chip's snapshot at env_
   std::vector<double> soft_lut_;
   std::vector<Challenge> challenge_buf_;
 };
@@ -112,14 +102,11 @@ class ChipScanStream {
 class ChipTester {
  public:
   /// `trials` is the per-challenge evaluation count K (paper: 100,000).
-  ChipTester(Environment env, std::uint64_t trials, Rng rng,
-             ScanMode mode = ScanMode::kBatched);
+  ChipTester(Environment env, std::uint64_t trials, Rng rng);
 
   const Environment& environment() const { return env_; }
   void set_environment(const Environment& env) { env_ = env; }
   std::uint64_t trials() const { return trials_; }
-  ScanMode mode() const { return mode_; }
-  void set_mode(ScanMode mode) { mode_ = mode; }
 
   /// Generates `count` uniformly random challenges for a chip's stage count.
   std::vector<Challenge> random_challenges(const XorPufChip& chip, std::size_t count);
@@ -130,7 +117,7 @@ class ChipTester {
                                const std::vector<Challenge>& challenges);
   /// Feature-block overload: callers scanning the same challenge set at
   /// several corners (the 9-corner enrollment sweeps) build the Phi block
-  /// once and reuse it here — the batched mode never recomputes it.
+  /// once and reuse it here — the scan never recomputes it.
   ChipSoftScan scan_individual(const XorPufChip& chip, const FeatureBlock& block);
   /// Storage-reusing variant for repeated scans (corner sweeps, reliability
   /// campaigns): writes into `scan`, whose vectors keep their heap blocks
@@ -147,28 +134,10 @@ class ChipTester {
   ChipScanStream stream_individual(const XorPufChip& chip, std::size_t total,
                                    std::size_t chunk_challenges);
 
-  /// Measures soft responses of one individual PUF.
-  std::vector<SoftMeasurement> scan_single(const XorPufChip& chip, std::size_t puf_index,
-                                           const std::vector<Challenge>& challenges);
-  std::vector<SoftMeasurement> scan_single(const XorPufChip& chip, std::size_t puf_index,
-                                           const FeatureBlock& block);
-
-  /// One-shot XOR responses (the deployed-chip view).
-  std::vector<bool> sample_xor(const XorPufChip& chip,
-                               const std::vector<Challenge>& challenges);
-  std::vector<bool> sample_xor(const XorPufChip& chip, const FeatureBlock& block);
-
-  /// XOR soft responses over `trials` evaluations.
-  std::vector<SoftMeasurement> scan_xor(const XorPufChip& chip,
-                                        const std::vector<Challenge>& challenges);
-  std::vector<SoftMeasurement> scan_xor(const XorPufChip& chip,
-                                        const FeatureBlock& block);
-
  private:
   Environment env_;
   std::uint64_t trials_;
   Rng rng_;
-  ScanMode mode_;
 };
 
 }  // namespace xpuf::sim

@@ -5,8 +5,8 @@
 // PUF and stop at the first PUF that calls it unstable. It is the oracle
 // the packed kernel in ChallengeScreener is bit-identical to, and it is
 // deliberately scalar. A stable candidate is packed (store::pack_words) only
-// to hand it to the sink. No library source includes this header: tests
-// and bench_auth_throughput use it.
+// to hand it to the sink. It lives with the test oracles, outside the
+// library: tests and bench_auth_throughput use it.
 #pragma once
 
 #include <cstdint>

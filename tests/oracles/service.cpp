@@ -1,4 +1,4 @@
-#include "net/service.hpp"
+#include "oracles/service.hpp"
 
 #include <utility>
 

@@ -1,4 +1,5 @@
-// Sharded authentication service engine.
+// Lockstep authentication service engine — the test oracle of the
+// event-loop AsyncServiceEngine (net/async/service_engine.hpp).
 //
 // The ServiceEngine owns every provisioned connection and drives the whole
 // fleet in deterministic lockstep rounds: each round, every shard advances
@@ -23,10 +24,11 @@
 // every aggregate from per-connection ledgers and reports any drift as a
 // violation string, so "zero accounting drift" is checked, not assumed.
 //
-// The server-side protocol decisions themselves live in server_session.hpp
-// (ServerSessionHandler), shared verbatim with the event-loop engine in
-// async/service_engine.hpp — this engine is the deterministic ORACLE the
-// socket engine reconciles its per-device ledgers against.
+// The server-side protocol decisions themselves live in
+// net/server_session.hpp (ServerSessionHandler), shared verbatim with the
+// event-loop engine — this engine is the deterministic ORACLE the socket
+// engine reconciles its per-device ledgers against. It is not part of the
+// library: tests and bench_service_load link it from xpuf_oracles.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +38,7 @@
 #include <vector>
 
 #include "net/session.hpp"
-#include "net/transport.hpp"
+#include "oracles/pipe_transport.hpp"
 #include "puf/database.hpp"
 #include "sim/chip.hpp"
 

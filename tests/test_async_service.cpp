@@ -26,8 +26,8 @@
 #include "net/async/syscall.hpp"
 #include "net/async/timer_wheel.hpp"
 #include "net/server_session.hpp"
-#include "net/service.hpp"
 #include "net/session.hpp"
+#include "oracles/service.hpp"
 #include "puf/enrollment.hpp"
 #include "sim/population.hpp"
 

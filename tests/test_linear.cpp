@@ -3,9 +3,9 @@
 // vectors, the full-batch GEMM products must be bit-identical to the tile
 // kernels and to scalar linear-view evaluation across every paper corner,
 // aged devices, and 1/2/8 threads; the packed sign-flip screening kernel
-// must equal feature_fill + the ascending dot bit for bit — and the batched
-// ChipTester/selector paths must reproduce their scalar-mode outputs byte
-// for byte.
+// must equal feature_fill + the ascending dot bit for bit — and the
+// ChipTester scan kernel and the selector must reproduce their per-cell
+// references (oracles/scan_reference.hpp, a serial walk) byte for byte.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,6 +22,7 @@
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "oracles/scan_reference.hpp"
 #include "puf/enrollment.hpp"
 #include "puf/screening.hpp"
 #include "puf/selection.hpp"
@@ -180,32 +181,30 @@ TEST(ChipLinearView, GemmTilesAndScalarAgreeAcrossCornersAgingThreads) {
   }
 }
 
-/// All four tester entry points under one mode, as comparable value types.
+/// One scan's measurements as a comparable value type.
 struct ScanOutputs {
   std::vector<std::vector<double>> soft;
   std::vector<std::vector<bool>> stable;
-  std::vector<double> single_soft;
-  std::vector<bool> xor_bits;
-  std::vector<double> xor_soft;
 
   bool operator==(const ScanOutputs&) const = default;
 };
 
-ScanOutputs run_scans(sim::ScanMode mode, const sim::Environment& env) {
+/// Measures 260 challenges x 4 PUFs at `env`, through the tester's one scan
+/// kernel or, with `reference`, through the per-cell stage walk — both fed
+/// the same generator, so they must agree byte for byte.
+ScanOutputs run_scan(bool reference, const sim::Environment& env) {
   sim::ChipPopulation pop = test_population(4);
   Rng rng(9001);
-  sim::ChipTester tester(env, 150, rng.fork(), mode);
-  const auto challenges = tester.random_challenges(pop.chip(0), 260);
-  ScanOutputs out;
-  const sim::ChipSoftScan scan = tester.scan_individual(pop.chip(0), challenges);
-  out.soft = scan.soft;
-  out.stable = scan.stable;
-  for (const auto& m : tester.scan_single(pop.chip(0), 2, challenges))
-    out.single_soft.push_back(m.soft_response());
-  out.xor_bits = tester.sample_xor(pop.chip(0), challenges);
-  for (const auto& m : tester.scan_xor(pop.chip(0), challenges))
-    out.xor_soft.push_back(m.soft_response());
-  return out;
+  sim::ChipSoftScan scan;
+  if (reference) {
+    Rng tester_rng = rng.fork();
+    const auto challenges = sim::random_challenges(pop.chip(0).stages(), 260, tester_rng);
+    scan = sim::scan_reference(pop.chip(0), challenges, env, 150, tester_rng);
+  } else {
+    sim::ChipTester tester(env, 150, rng.fork());
+    scan = tester.scan_individual(pop.chip(0), tester.random_challenges(pop.chip(0), 260));
+  }
+  return {scan.soft, scan.stable};
 }
 
 // The packed sign-flip kernel against feature_fill + the ascending dot, bit
@@ -315,10 +314,10 @@ TEST(PackedKernel, UnpackedWordsAreTheCandidateGeneratorsChallenge) {
 TEST(ScanModes, BatchedMatchesScalarByteForByteAcrossCornersAndThreads) {
   for (const auto& env : sim::paper_corner_grid()) {
     ThreadPool::set_global_threads(1);
-    const ScanOutputs scalar = run_scans(sim::ScanMode::kScalar, env);
+    const ScanOutputs walk = run_scan(/*reference=*/true, env);
     for (const std::size_t threads : {1u, 2u, 8u}) {
       ThreadPool::set_global_threads(threads);
-      EXPECT_EQ(run_scans(sim::ScanMode::kBatched, env), scalar)
+      EXPECT_EQ(run_scan(/*reference=*/false, env), walk)
           << "corner v=" << env.voltage << " t=" << env.temperature
           << " threads=" << threads;
     }
@@ -353,15 +352,15 @@ TEST(ScanModes, StorageReusingScanEqualsFreshScan) {
 TEST(ScanModes, MeasurementCounterTotalsAgree) {
   static Counter& measurements =
       MetricsRegistry::global().counter("tester.measurements");
-  const auto count_scan = [](sim::ScanMode mode) {
+  const auto count_scan = [](bool reference) {
     const std::uint64_t before = measurements.total();
-    run_scans(mode, sim::Environment::nominal());
+    run_scan(reference, sim::Environment::nominal());
     return measurements.total() - before;
   };
-  const std::uint64_t scalar = count_scan(sim::ScanMode::kScalar);
-  const std::uint64_t batched = count_scan(sim::ScanMode::kBatched);
-  EXPECT_EQ(scalar, batched);
-  EXPECT_EQ(scalar, 260u * 4u);  // one per (challenge, PUF) cell
+  const std::uint64_t walk = count_scan(true);
+  const std::uint64_t kernel = count_scan(false);
+  EXPECT_EQ(walk, kernel);
+  EXPECT_EQ(walk, 260u * 4u);  // one per (challenge, PUF) cell
 }
 
 /// Enrolls a small server model for the selector tests.
@@ -463,25 +462,28 @@ TEST(TapGating, LinearViewsRespectFusesButXorBatchesSurvive) {
   const sim::Environment env = sim::Environment::nominal();
   const sim::FeatureBlock block(fixed_challenges(chip.stages(), 50));
 
-  // Pre-deployment: everything works.
+  // Pre-deployment: everything works, down to a one-PUF view.
   EXPECT_NO_THROW(chip.linear_view(env));
-  EXPECT_NO_THROW(chip.device_linear_view(1, env));
+  EXPECT_NO_THROW(chip.linear_view(env, 1));
   EXPECT_NO_THROW(chip.one_probabilities(block, env));
 
   chip.blow_fuses();
   EXPECT_THROW(chip.linear_view(env), AccessError);
-  EXPECT_THROW(chip.device_linear_view(1, env), AccessError);
+  EXPECT_THROW(chip.linear_view(env, 1), AccessError);
   EXPECT_THROW(chip.one_probabilities(block, env), AccessError);
 
-  // The per-tap scan throws in BOTH modes; the XOR pin remains usable.
+  // The per-tap scan throws through the kernel, the stream and the stage
+  // walk alike; the XOR pin remains usable.
   Rng rng(5);
-  sim::ChipTester tester(env, 50, rng.fork(), sim::ScanMode::kBatched);
+  sim::ChipTester tester(env, 50, rng.fork());
   EXPECT_THROW(tester.scan_individual(chip, block), AccessError);
-  tester.set_mode(sim::ScanMode::kScalar);
-  EXPECT_THROW(tester.scan_individual(chip, block), AccessError);
-  tester.set_mode(sim::ScanMode::kBatched);
-  EXPECT_EQ(tester.sample_xor(chip, block).size(), block.size());
-  EXPECT_EQ(tester.scan_xor(chip, block).size(), block.size());
+  EXPECT_THROW(tester.stream_individual(chip, 10, 4), AccessError);
+  Rng walk_rng(6);
+  EXPECT_THROW(sim::scan_reference(chip, block, env, 50, walk_rng), AccessError);
+  Rng xor_rng(7);
+  for (std::size_t c = 0; c < block.size(); ++c)
+    EXPECT_NO_THROW(chip.xor_response(block.challenge(c), env, xor_rng));
+  EXPECT_NO_THROW(chip.measure_xor_soft_response(block.challenge(0), env, 50, xor_rng));
 }
 
 TEST(NormalCdfBatchIntegration, ChipProbabilitiesUseTheExactScalarCdf) {

@@ -353,8 +353,8 @@ TEST(ObservabilityIntegration, UnknownDeviceRequestsAreCounted) {
   EXPECT_EQ(snap.counters.at("db.auth_requests"), 2u);
 }
 
-// Workload counters that meter raw work volume: tester.xor_samples equals
-// the number of XOR evaluations requested across sample_xor() calls, and
+// Workload counters that meter raw work volume: tester.measurements equals
+// the (challenge, PUF) cells measured across scan_individual() calls, and
 // ml.adam_epochs equals the epochs the Adam options asked for.
 TEST(ObservabilityIntegration, TesterAndAdamCountersMatchWorkload) {
   sim::PopulationConfig cfg;
@@ -368,10 +368,10 @@ TEST(ObservabilityIntegration, TesterAndAdamCountersMatchWorkload) {
   sim::ChipTester tester(sim::Environment::nominal(), 100, Rng(42));
   const auto first = tester.random_challenges(pop.chip(0), 10);
   const auto second = tester.random_challenges(pop.chip(0), 7);
-  (void)tester.sample_xor(pop.chip(0), first);
-  (void)tester.sample_xor(pop.chip(0), second);
-  EXPECT_EQ(registry.snapshot().counters.at("tester.xor_samples"),
-            first.size() + second.size());
+  (void)tester.scan_individual(pop.chip(0), first);
+  (void)tester.scan_individual(pop.chip(0), second);
+  EXPECT_EQ(registry.snapshot().counters.at("tester.measurements"),
+            (first.size() + second.size()) * pop.chip(0).puf_count());
 
   registry.reset();
   ml::Dataset data;

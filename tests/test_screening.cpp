@@ -26,10 +26,10 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
+#include "oracles/screening_reference.hpp"
 #include "puf/database.hpp"
 #include "puf/enrollment.hpp"
 #include "puf/screening.hpp"
-#include "puf/screening_reference.hpp"
 #include "puf/store/record.hpp"
 #include "puf/store/store.hpp"
 #include "sim/linear.hpp"

@@ -1,8 +1,8 @@
-// Tests for the service engine (net/service.hpp): clean-wire end-to-end
-// enroll -> authenticate -> revoke flows, graceful degradation under a
-// hostile transport (every session in exactly one terminal state, never a
-// crash or silent accept), zero accounting drift, and bit-identical runs at
-// 1, 2, and 8 worker threads over the fixed shard grid.
+// Tests for the lockstep oracle engine (oracles/service.hpp): clean-wire
+// end-to-end enroll -> authenticate -> revoke flows, graceful degradation
+// under a hostile transport (every session in exactly one terminal state,
+// never a crash or silent accept), zero accounting drift, and bit-identical
+// runs at 1, 2, and 8 worker threads over the fixed shard grid.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -13,7 +13,7 @@
 
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
-#include "net/service.hpp"
+#include "oracles/service.hpp"
 #include "puf/enrollment.hpp"
 #include "sim/population.hpp"
 

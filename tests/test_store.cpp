@@ -15,9 +15,12 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "puf/database.hpp"
+#include "puf/enrollment.hpp"
 #include "puf/store/record.hpp"
 #include "puf/store/store.hpp"
 #include "sim/linear.hpp"
+#include "sim/population.hpp"
 
 namespace xpuf::puf::store {
 namespace {
@@ -56,7 +59,6 @@ void expect_models_bit_exact(const ServerModel& a, const ServerModel& b) {
     EXPECT_EQ(a.puf(p).thresholds.thr0, b.puf(p).thresholds.thr0);
     EXPECT_EQ(a.puf(p).thresholds.thr1, b.puf(p).thresholds.thr1);
     EXPECT_EQ(a.puf(p).train_r_squared, b.puf(p).train_r_squared);
-    EXPECT_EQ(a.puf(p).fit_time_ms, b.puf(p).fit_time_ms);
   }
 }
 
@@ -160,6 +162,9 @@ TEST(StoreCodec, ModelPayloadRoundTripsBitExactly) {
                          31337, decoded),
             RecordStatus::kOk);
   expect_models_bit_exact(original, decoded);
+  // The wall-clock fit time is not part of the record.
+  for (std::size_t p = 0; p < decoded.puf_count(); ++p)
+    EXPECT_EQ(decoded.puf(p).fit_time_ms, 0.0);
 }
 
 TEST(StoreCodec, LedgerPayloadRoundTrips) {
@@ -557,6 +562,61 @@ TEST_F(StoreDirTest, TruncationAtEveryByteRecoversTheExactAcknowledgedPrefix) {
       expect_models_bit_exact(make_model(id, 2, 8), *recovered.model(id));
   }
   fs::remove_all(torn_dir);
+}
+
+/// Every regular file under `dir`, keyed by its path relative to `dir`.
+std::map<std::string, std::string> file_bytes(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    out[fs::relative(entry.path(), dir).string()] =
+        std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return out;
+}
+
+// Store bytes are a pure function of the seed: two stores fed the same
+// seed's enrollments (REGISTER), pools (POOL) and issued batches (ISSUE)
+// hold byte-identical shard files, before and after compaction. Nothing
+// wall-clock reaches a record, so a store can be compared byte for byte.
+TEST_F(StoreDirTest, SameSeedEnrollmentsWriteByteIdenticalShards) {
+  sim::PopulationConfig pop_cfg;
+  pop_cfg.n_chips = 3;
+  pop_cfg.n_pufs_per_chip = 3;
+  pop_cfg.seed = 808;
+  const sim::ChipPopulation pop(pop_cfg);
+  EnrollmentConfig enroll_cfg;
+  enroll_cfg.training_challenges = 300;
+  enroll_cfg.trials = 200;
+  DatabaseConfig db_cfg;
+  db_cfg.n_pufs = 3;
+  db_cfg.policy.challenge_count = 16;
+  db_cfg.pool.target = 32;
+  StoreOptions options;
+  options.n_shards = 2;
+
+  const auto build = [&](const std::string& dir) {
+    ServerDatabase db = ServerDatabase::open(dir, db_cfg, options);
+    Rng rng(4711);
+    for (std::size_t c = 0; c < pop.size(); ++c) {
+      ServerModel model = Enroller(enroll_cfg).enroll(pop.chip(c), rng);
+      model.set_betas(BetaFactors{0.9, 1.1});
+      db.register_device(std::move(model));
+    }
+    for (std::size_t c = 0; c < pop.size(); ++c) (void)db.issue(pop.chip(c).id(), rng);
+    const auto logged = file_bytes(dir);
+    db.save(dir);
+    return std::make_pair(logged, file_bytes(dir));
+  };
+  const std::string other = dir_ + "_twin";
+  fs::remove_all(other);
+  const auto first = build(dir_);
+  const auto second = build(other);
+  fs::remove_all(other);
+  ASSERT_FALSE(first.first.empty());
+  EXPECT_TRUE(first.first == second.first) << "op-log shards differ between same-seed runs";
+  EXPECT_TRUE(first.second == second.second) << "compacted shards differ between same-seed runs";
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 // The streaming enrollment pipeline promises bit-identical results to the
 // materialized path for any chunk size and any thread count. These tests pin
 // that promise at every layer: the chunked scan producer against
-// scan_individual, the normal-equations accumulator against the one-shot
-// gram/Cholesky kernels, the end-to-end Enroller::enroll against
-// enroll_materialized, and the GEMM-backed logistic-regression objective
-// against a scalar replica of the historical row-loop math.
+// scan_individual and the per-cell stage walk (oracles/scan_reference.hpp),
+// the normal-equations accumulator against the one-shot gram/Cholesky
+// kernels, the end-to-end Enroller::enroll against the whole-scan
+// enroll_reference (oracles/enroll_reference.hpp), and the GEMM-backed
+// logistic-regression objective against a scalar replica of the historical
+// row-loop math.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,11 +16,14 @@
 #include <vector>
 
 #include "common/math.hpp"
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "linalg/cholesky.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/streaming.hpp"
+#include "oracles/enroll_reference.hpp"
+#include "oracles/scan_reference.hpp"
 #include "puf/enrollment.hpp"
 #include "sim/population.hpp"
 #include "sim/tester.hpp"
@@ -70,7 +75,53 @@ CollectedScan collect(sim::ChipScanStream& stream, std::size_t n_pufs) {
   return out;
 }
 
-class ScanStreamTest : public ::testing::TestWithParam<sim::ScanMode> {
+/// What a streamed scan is checked against: the per-cell stage walk oracle,
+/// or the library's materialized scan (ChipTester::scan_individual). Both
+/// must equal the stream cell for cell.
+enum class ScanOracle { kStageWalk, kMaterialized };
+
+/// The oracle's scan of `total` challenges drawn as a ChipTester built on
+/// `tester_rng` would draw them, plus that tester's next 8 challenges (its
+/// generator state after the scan).
+struct OracleScan {
+  std::vector<Challenge> challenges;
+  sim::ChipSoftScan scan;
+  std::vector<Challenge> next;
+};
+
+OracleScan oracle_scan(ScanOracle oracle, const sim::XorPufChip& chip,
+                       const sim::Environment& env, std::uint64_t trials, std::size_t total,
+                       Rng tester_rng) {
+  OracleScan out;
+  if (oracle == ScanOracle::kMaterialized) {
+    sim::ChipTester tester(env, trials, tester_rng);
+    out.challenges = tester.random_challenges(chip, total);
+    out.scan = tester.scan_individual(chip, out.challenges);
+    out.next = tester.random_challenges(chip, 8);
+  } else {
+    out.challenges = sim::random_challenges(chip.stages(), total, tester_rng);
+    out.scan = sim::scan_reference(chip, out.challenges, env, trials, tester_rng);
+    out.next = sim::random_challenges(chip.stages(), 8, tester_rng);
+  }
+  return out;
+}
+
+void expect_stream_equals(const CollectedScan& streamed, const sim::ChipSoftScan& scan,
+                          std::size_t n_pufs) {
+  std::vector<Challenge> streamed_challenges;
+  for (const auto& c : streamed.chunks)
+    streamed_challenges.insert(streamed_challenges.end(), c.begin(), c.end());
+  EXPECT_EQ(streamed_challenges, scan.challenges);
+  for (std::size_t p = 0; p < n_pufs; ++p) {
+    ASSERT_EQ(streamed.soft[p].size(), scan.soft[p].size());
+    for (std::size_t c = 0; c < scan.soft[p].size(); ++c) {
+      EXPECT_EQ(streamed.soft[p][c], scan.soft[p][c]) << "PUF " << p << " cell " << c;
+      EXPECT_EQ(streamed.stable[p][c] != 0, scan.stable[p][c] == true);
+    }
+  }
+}
+
+class ScanStreamTest : public ::testing::TestWithParam<ScanOracle> {
  protected:
   ScanStreamTest() : pop_(small_lot()) {}
   sim::ChipPopulation pop_;
@@ -79,56 +130,69 @@ class ScanStreamTest : public ::testing::TestWithParam<sim::ScanMode> {
 TEST_P(ScanStreamTest, MatchesMaterializedScanCellForCell) {
   const std::size_t total = 150;
   Rng r1(77), r2(77);
-  sim::ChipTester streamer(sim::Environment::nominal(), 500, r1.fork(), GetParam());
-  sim::ChipTester materializer(sim::Environment::nominal(), 500, r2.fork(), GetParam());
-
+  sim::ChipTester streamer(sim::Environment::nominal(), 500, r1.fork());
   sim::ChipScanStream stream = streamer.stream_individual(pop_.chip(0), total, 64);
   const CollectedScan streamed = collect(stream, 3);
 
-  const auto challenges = materializer.random_challenges(pop_.chip(0), total);
-  const sim::ChipSoftScan scan = materializer.scan_individual(pop_.chip(0), challenges);
-
-  std::vector<Challenge> streamed_challenges;
-  for (const auto& c : streamed.chunks)
-    streamed_challenges.insert(streamed_challenges.end(), c.begin(), c.end());
-  EXPECT_EQ(streamed_challenges, challenges);
-  for (std::size_t p = 0; p < 3; ++p) {
-    ASSERT_EQ(streamed.soft[p].size(), total);
-    for (std::size_t c = 0; c < total; ++c) {
-      EXPECT_EQ(streamed.soft[p][c], scan.soft[p][c]) << "PUF " << p << " cell " << c;
-      EXPECT_EQ(streamed.stable[p][c] != 0, scan.stable[p][c] == true);
-    }
-  }
+  const OracleScan want =
+      oracle_scan(GetParam(), pop_.chip(0), sim::Environment::nominal(), 500, total, r2.fork());
+  expect_stream_equals(streamed, want.scan, 3);
 
   // The stream pre-advances the tester's generator past the challenge draws
-  // at construction, so both testers end in the same state: their next
+  // at construction, so the streamer ends in the oracle's state: their next
   // challenge batches must agree draw for draw.
-  EXPECT_EQ(streamer.random_challenges(pop_.chip(0), 8),
-            materializer.random_challenges(pop_.chip(0), 8));
+  EXPECT_EQ(streamer.random_challenges(pop_.chip(0), 8), want.next);
 }
 
 TEST_P(ScanStreamTest, ChunkSizeNeverChangesTheBits) {
   const std::size_t total = 101;  // prime-ish: exercises ragged final chunks
-  CollectedScan reference;
-  bool have_reference = false;
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}, total}) {
+  Rng oracle_rng(99);
+  const OracleScan want = oracle_scan(GetParam(), pop_.chip(0), sim::Environment::nominal(),
+                                      300, total, oracle_rng.fork());
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{4096}}) {
+    SCOPED_TRACE(::testing::Message() << "chunk " << chunk);
     Rng rng(99);
-    sim::ChipTester tester(sim::Environment::nominal(), 300, rng.fork(), GetParam());
+    sim::ChipTester tester(sim::Environment::nominal(), 300, rng.fork());
     sim::ChipScanStream stream = tester.stream_individual(pop_.chip(0), total, chunk);
-    const CollectedScan got = collect(stream, 3);
-    if (!have_reference) {
-      reference = got;
-      have_reference = true;
-      continue;
-    }
-    EXPECT_EQ(got.soft, reference.soft) << "chunk " << chunk;
-    EXPECT_EQ(got.stable, reference.stable) << "chunk " << chunk;
+    expect_stream_equals(collect(stream, 3), want.scan, 3);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, ScanStreamTest,
-                         ::testing::Values(sim::ScanMode::kBatched,
-                                           sim::ScanMode::kScalar));
+                         ::testing::Values(ScanOracle::kMaterialized, ScanOracle::kStageWalk));
+
+// The one scan kernel against the stage walk at every paper corner, at 1/2/8
+// threads and chunk sizes 1/64/4096, with equal tester.measurements totals
+// (one per cell on both sides).
+TEST(ScanStream, MatchesTheStageWalkAcrossCornersThreadsAndChunks) {
+  ThreadGuard guard;
+  static Counter& measurements = MetricsRegistry::global().counter("tester.measurements");
+  sim::ChipPopulation pop(small_lot());
+  const std::size_t total = 97;
+  for (const auto& env : sim::paper_corner_grid()) {
+    ThreadPool::set_global_threads(1);
+    Rng oracle_rng(2024);
+    const std::uint64_t walk_before = measurements.total();
+    const OracleScan want =
+        oracle_scan(ScanOracle::kStageWalk, pop.chip(0), env, 250, total, oracle_rng.fork());
+    const std::uint64_t walk_count = measurements.total() - walk_before;
+    EXPECT_EQ(walk_count, total * 3);
+    for (const std::uint64_t threads : {1u, 2u, 8u}) {
+      ThreadPool::set_global_threads(threads);
+      for (const std::size_t chunk : {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
+        SCOPED_TRACE(::testing::Message() << "corner v=" << env.voltage << " t="
+                                          << env.temperature << " threads " << threads
+                                          << " chunk " << chunk);
+        Rng rng(2024);
+        sim::ChipTester tester(env, 250, rng.fork());
+        const std::uint64_t before = measurements.total();
+        sim::ChipScanStream stream = tester.stream_individual(pop.chip(0), total, chunk);
+        expect_stream_equals(collect(stream, 3), want.scan, 3);
+        EXPECT_EQ(measurements.total() - before, walk_count);
+      }
+    }
+  }
+}
 
 TEST(ScanStream, ResetReplaysBitIdentically) {
   sim::ChipPopulation pop(small_lot());
@@ -241,7 +305,7 @@ TEST(StreamingNormalEquations, RejectsUnderdeterminedAndShapeMismatch) {
   EXPECT_THROW(acc.accumulate(phi, short_y), std::invalid_argument);
 }
 
-// --- End-to-end: streaming enroll vs materialized enroll ------------------
+// --- End-to-end: streaming enroll vs the whole-scan reference --------------
 
 void expect_models_identical(const puf::ServerModel& a, const puf::ServerModel& b) {
   ASSERT_EQ(a.puf_count(), b.puf_count());
@@ -262,11 +326,11 @@ TEST(StreamingEnrollment, BitIdenticalToMaterializedAcrossChunksAndThreads) {
   cfg.training_challenges = 400;
   cfg.trials = 200;
 
-  // The materialized reference, computed once on one thread.
+  // The whole-scan reference, computed once on one thread.
   ThreadPool::set_global_threads(1);
   Rng ref_rng(31415);
   const puf::ServerModel reference =
-      puf::Enroller(cfg).enroll_materialized(pop.chip(0), ref_rng);
+      puf::enroll_reference(puf::Enroller(cfg), pop.chip(0), ref_rng);
 
   for (std::size_t chunk : {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
     for (std::uint64_t threads : {1u, 2u, 8u}) {

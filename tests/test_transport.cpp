@@ -1,14 +1,14 @@
-// Tests for the transport layer (net/transport.hpp): pipe FIFO semantics,
-// fault-band accounting, the frame conservation invariants the service
-// reconciles, and stream-keyed determinism of fault schedules — the PR 1
-// RNG-splitting pattern applied to a hostile network.
+// Tests for the oracle transports (oracles/pipe_transport.hpp): pipe FIFO
+// semantics, fault-band accounting, the frame conservation invariants the
+// service reconciles, and stream-keyed determinism of fault schedules — the
+// StreamFamily RNG-splitting pattern applied to a hostile network.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "common/metrics.hpp"
-#include "net/transport.hpp"
+#include "oracles/pipe_transport.hpp"
 
 namespace xpuf::net {
 namespace {

@@ -10,14 +10,16 @@
 #             zero violations, per-rule suppression counts within the
 #             shrink-only budget in tools/lint_baseline.json
 #   fanalyzer GCC -fanalyzer sweep of src/net/ + src/common/ (the two
-#             subsystems driven by external state machines); any
-#             -Wanalyzer- diagnostic besides the known-FP
-#             uninitialized-value checker fails the job
-#   bench     bench_scan_throughput A/B (scalar vs batched core) and
-#             bench_enroll_throughput A/B (materialized vs streaming
-#             enrollment, incl. the fixed-memory RSS assertion); both
-#             binaries assert bit-identity, the gate checks each timing
-#             JSON and that the optimized side has not regressed —
+#             subsystems driven by external state machines) plus the
+#             lockstep oracle engine and its pipe/fault transports
+#             (tests/oracles/); any -Wanalyzer- diagnostic besides the
+#             known-FP uninitialized-value checker fails the job
+#   bench     bench_scan_throughput A/B (the per-cell stage-walk oracle vs
+#             the batched scan kernel) and bench_enroll_throughput A/B (the
+#             whole-scan enroll_reference oracle vs streaming enrollment,
+#             incl. the fixed-memory RSS assertion); both binaries assert
+#             bit-identity, the gate checks each timing JSON and that the
+#             library side has not regressed —
 #             tools/check_bench_regression.py)
 #   store     bench_db_scale at CI scale (sharded enrollment store: binary
 #             log enrollment, LRU-bounded authentication with the in-run
@@ -33,18 +35,21 @@
 #   scalar    -DXPUF_BATCH_SIMD=OFF build (build-scalar/): the portable
 #             sign-flip and tile kernels held to the same bit-identity
 #             suites (test_screening, test_linear, test_selection,
-#             test_database)
+#             test_database, and test_streaming + test_tester, whose scans
+#             run the one cell kernel over the portable tile kernel)
 #   metrics   one bench run with --metrics-out, then a JSON schema check of
 #             the snapshot (tools/check_metrics_schema.py): counters/gauges/
 #             histograms/spans shape, nonzero selection cost, nonzero replay
 #             rejections from the re-seeded second authentication
-#   service   bench_service_load over a faulty wire (exit code is the
+#   service   bench_service_load over a faulty wire through the lockstep
+#             oracle engine (tests/oracles/service.hpp; exit code is the
 #             zero-drift audit), net.* counter schema check (--expect-net),
-#             and tests/test_service under TSan
+#             and tests/test_service (the oracle engine's suite) under TSan
 #   service-socket
 #             bench_service_load --transport socket: the epoll event-loop
 #             engine over 1000 concurrent localhost connections, reconciled
-#             bit-for-bit against the lockstep oracle plus a starved-queue
+#             bit-for-bit against the lockstep oracle engine
+#             (tests/oracles/service.hpp) plus a starved-queue
 #             overload phase (exit code is the audit); net.async.* schema
 #             check (--expect-net-socket), lockstep-vs-socket timing gate,
 #             and tests/test_async_service under TSan
@@ -117,9 +122,10 @@ tsan_job() {
     "${prefix}-tsan/tests/test_parallel"
 }
 
-# Service layer end-to-end: the Release load bench over a faulty wire (its
-# exit code IS the zero-drift audit), the net.* schema check on its snapshot,
-# and the engine test suite under TSan (shard workers + sharded counters).
+# Service layer end-to-end: the Release load bench over a faulty wire,
+# driven by the lockstep oracle engine of tests/oracles/ (its exit code IS
+# the zero-drift audit), the net.* schema check on its snapshot, and the
+# oracle engine's test suite under TSan (shard workers + sharded counters).
 service_job() {
   "${prefix}/bench/bench_service_load" \
     --devices 24 --threads 2 \
@@ -155,14 +161,15 @@ service_socket_job() {
     "${prefix}-tsan/tests/test_async_service"
 }
 
-# Scan-throughput A/B: scalar vs batched evaluation core on the acceptance
-# workload. The binary itself asserts the two modes are bit-identical (and
-# the timed mode thread-count-deterministic); the schema gate then checks
-# the timing artifact and that batched hasn't regressed behind scalar.
-# Enrollment throughput runs the same way at a CI-sized challenge count:
-# the binary asserts streaming == materialized bit-identity and the
-# fixed-memory RSS bound, the gate checks the timing artifact and that
-# streaming hasn't regressed behind materialized.
+# Scan-throughput A/B: the per-cell stage-walk oracle (scalar) vs the
+# batched scan kernel on the acceptance workload. The binary itself asserts
+# the two sides are bit-identical (and the timed side thread-count-
+# deterministic); the schema gate then checks the timing artifact and that
+# batched hasn't regressed behind scalar. Enrollment throughput runs the
+# same way at a CI-sized challenge count: the binary asserts streaming ==
+# whole-scan reference bit-identity and the fixed-memory RSS bound, the gate
+# checks the timing artifact and that streaming hasn't regressed behind the
+# reference (field names materialized_seconds / streaming_seconds).
 bench_job() {
   "${prefix}/bench/bench_scan_throughput" --threads 1 &&
     if command -v python3 >/dev/null 2>&1; then
@@ -212,16 +219,18 @@ auth_job() {
 
 # Portable-path contract: with the AVX2 kernels compiled out, the packed
 # screening kernel and the linear tile kernels must pass the same
-# bit-identity suites against the reference walk and the golden sequence.
+# bit-identity suites against the reference walks and the golden sequence.
+# test_streaming and test_tester cover the tester's one cell kernel, which
+# runs the portable tile kernel in this build.
 scalar_job() {
   local t
+  local suites="test_screening test_linear test_selection test_database test_streaming test_tester"
   cmake -B "${prefix}-scalar" -S . -DCMAKE_BUILD_TYPE=Release -DXPUF_WERROR=ON \
     -DXPUF_BATCH_SIMD=OFF \
     -DXPUF_BUILD_BENCHMARKS=OFF \
     -DXPUF_BUILD_EXAMPLES=OFF &&
-    cmake --build "${prefix}-scalar" -j "${jobs}" \
-      --target test_screening test_linear test_selection test_database &&
-    for t in test_screening test_linear test_selection test_database; do
+    cmake --build "${prefix}-scalar" -j "${jobs}" --target ${suites} &&
+    for t in ${suites}; do
       "${prefix}-scalar/tests/${t}" || return 1
     done
 }
@@ -265,16 +274,19 @@ lint_job() {
 # GCC static analyzer over the protocol and concurrency layers — the code
 # paths driven by externally-supplied bytes and thread scheduling, where the
 # analyzer's path-sensitive checks (leaks, use-after-free, infinite loops)
-# pay off. -Wanalyzer-use-of-uninitialized-value is disabled: GCC 12 reports
-# known false positives through libstdc++ string internals and the
-# thread-pool lambda captures. Anything else fails the job.
+# pay off; the lockstep oracle engine and its pipe/fault transports
+# (tests/oracles/) are swept with them.
+# -Wanalyzer-use-of-uninitialized-value is disabled: GCC 12 reports known
+# false positives through libstdc++ string internals and the thread-pool
+# lambda captures. Anything else fails the job.
 fanalyzer_job() {
   local diags="${logdir}/fanalyzer_diagnostics.log"
   : >"${diags}"
   local tu
-  for tu in src/net/*.cpp src/common/*.cpp; do
+  for tu in src/net/*.cpp src/common/*.cpp tests/oracles/service.cpp \
+    tests/oracles/pipe_transport.cpp; do
     echo "-- ${tu}"
-    g++ -std=c++20 -Isrc -O1 -fanalyzer \
+    g++ -std=c++20 -Isrc -Itests -O1 -fanalyzer \
       -Wno-analyzer-use-of-uninitialized-value \
       -c -o /dev/null "${tu}" 2>>"${diags}" || {
       echo "fanalyzer: ${tu} failed to compile:" >&2
